@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("{}", if existed { "deleted" } else { "no such file" });
                 Ok::<(), Box<dyn std::error::Error>>(())
             })(),
-            ["report"] => (|| {
+            ["report"] => {
                 let r = cluster.namenode_state().cluster_report();
                 println!(
                     "live datanodes: {}  blocks: {}  inodes: {}  safe mode: {}",
@@ -188,7 +188,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
                 Ok::<(), Box<dyn std::error::Error>>(())
-            })(),
+            }
             ["trace", path, rest @ ..] => (|| {
                 let full = rest.first() == Some(&"full") || trace_cursor.is_none();
                 let events = match (full, trace_cursor) {

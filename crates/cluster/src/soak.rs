@@ -2149,10 +2149,10 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
     };
 
     // Orderly teardown: get the cluster back out of the Arc now that
-    // every thread holding it has been joined.
-    match Arc::try_unwrap(shared) {
-        Ok(shared) => shared.cluster.shutdown(),
-        Err(_) => {} // a straggler clone keeps it alive; Drop cleans up
+    // every thread holding it has been joined. If a straggler clone
+    // still holds it, Drop cleans up instead.
+    if let Ok(shared) = Arc::try_unwrap(shared) {
+        shared.cluster.shutdown();
     }
     Ok(report)
 }
@@ -2177,7 +2177,7 @@ mod tests {
         for ev in &a.events {
             match ev.trigger {
                 Trigger::AtMs(ms) => {
-                    assert!(ms >= last && ms >= 600 && ms <= 3_400);
+                    assert!(ms >= last && (600..=3_400).contains(&ms));
                     last = ms;
                 }
                 _ => panic!("generated plans are timed"),

@@ -36,6 +36,16 @@ macro_rules! id_newtype {
                 Self(v)
             }
         }
+
+        /// Encoded as the bare inner integer.
+        impl crate::wire::Wire for $name {
+            fn encode(&self, w: &mut crate::wire::WireWriter) {
+                crate::wire::Wire::encode(&self.0, w);
+            }
+            fn decode(r: &mut crate::wire::WireReader) -> crate::error::DfsResult<Self> {
+                <$inner as crate::wire::Wire>::decode(r).map(Self)
+            }
+        }
     };
 }
 

@@ -12,7 +12,8 @@
 //!   §III-A) and per-block `recoverBlock` used by Algorithms 3/4.
 //!
 //! All messages implement [`Wire`] and are exchanged as length-prefixed
-//! frames (see [`crate::wire`]).
+//! frames (see [`crate::wire`]). Each message's wire layout is declared
+//! once, by the field list in its `wire_struct!` or `wire_enum!`.
 
 use crate::config::WriteMode;
 use crate::error::{DfsError, DfsResult};
@@ -20,43 +21,19 @@ use crate::ids::{
     BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, GenStamp, PipelineId, SpanId, TraceId,
 };
 use crate::obs::TraceCtx;
-use crate::wire::{Wire, WireReader, WireWriter};
+use crate::wire::{wire_enum, wire_struct, Wire, WireReader};
 use bytes::Bytes;
 
 // ---------------------------------------------------------------------------
-// Shared wire impls for id types
+// Shared wire types
 // ---------------------------------------------------------------------------
 
-impl Wire for ExtendedBlock {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.id.raw());
-        w.put_u64(self.gen.raw());
-        w.put_u64(self.len);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(ExtendedBlock {
-            id: BlockId(r.get_u64()?),
-            gen: GenStamp(r.get_u64()?),
-            len: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(ExtendedBlock { id, gen, len });
 
-impl Wire for WriteMode {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(match self {
-            WriteMode::Hdfs => 0,
-            WriteMode::Smarth => 1,
-        });
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(WriteMode::Hdfs),
-            1 => Ok(WriteMode::Smarth),
-            x => Err(DfsError::codec(format!("invalid write mode {x}"))),
-        }
-    }
-}
+wire_enum!(WriteMode {
+    0 => Hdfs,
+    1 => Smarth,
+});
 
 /// Everything a client needs to reach a datanode: identity, rack (for
 /// local sorting) and fabric address.
@@ -69,37 +46,12 @@ pub struct DatanodeInfo {
     pub addr: String,
 }
 
-impl Wire for DatanodeInfo {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.id.raw());
-        w.put_str(&self.host_name);
-        w.put_str(&self.rack);
-        w.put_str(&self.addr);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(DatanodeInfo {
-            id: DatanodeId(r.get_u32()?),
-            host_name: r.get_str()?,
-            rack: r.get_str()?,
-            addr: r.get_str()?,
-        })
-    }
-}
-
-fn encode_vec<T: Wire>(w: &mut WireWriter, v: &[T]) {
-    w.put_u32(v.len() as u32);
-    for item in v {
-        item.encode(w);
-    }
-}
-
-fn decode_vec<T: Wire>(r: &mut WireReader) -> DfsResult<Vec<T>> {
-    let n = r.get_u32()? as usize;
-    if n > 1 << 20 {
-        return Err(DfsError::codec(format!("vector length {n} unreasonable")));
-    }
-    (0..n).map(|_| T::decode(r)).collect()
-}
+wire_struct!(DatanodeInfo {
+    id,
+    host_name,
+    rack,
+    addr
+});
 
 /// Per-datanode gauge snapshot piggybacked on every heartbeat: the
 /// §IV-C staging/buffer levels local to *that* node, as opposed to the
@@ -116,20 +68,11 @@ pub struct DatanodeTelemetry {
     pub forward_bytes: u64,
 }
 
-impl Wire for DatanodeTelemetry {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.staging_packets);
-        w.put_u64(self.buffered_bytes);
-        w.put_u64(self.forward_bytes);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(DatanodeTelemetry {
-            staging_packets: r.get_u64()?,
-            buffered_bytes: r.get_u64()?,
-            forward_bytes: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(DatanodeTelemetry {
+    staging_packets,
+    buffered_bytes,
+    forward_bytes
+});
 
 /// One row of the namenode's cluster telemetry table: liveness and
 /// usage from the datanode manager joined with the node's last
@@ -148,32 +91,17 @@ pub struct NodeTelemetryRow {
     pub age_ms: u64,
 }
 
-impl Wire for NodeTelemetryRow {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.id.raw());
-        w.put_str(&self.host_name);
-        w.put_str(&self.rack);
-        w.put_bool(self.alive);
-        w.put_u64(self.used);
-        w.put_u64(self.capacity);
-        w.put_u32(self.active_transfers);
-        self.telemetry.encode(w);
-        w.put_u64(self.age_ms);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(NodeTelemetryRow {
-            id: DatanodeId(r.get_u32()?),
-            host_name: r.get_str()?,
-            rack: r.get_str()?,
-            alive: r.get_bool()?,
-            used: r.get_u64()?,
-            capacity: r.get_u64()?,
-            active_transfers: r.get_u32()?,
-            telemetry: DatanodeTelemetry::decode(r)?,
-            age_ms: r.get_u64()?,
-        })
-    }
-}
+wire_struct!(NodeTelemetryRow {
+    id,
+    host_name,
+    rack,
+    alive,
+    used,
+    capacity,
+    active_transfers,
+    telemetry,
+    age_ms
+});
 
 /// A block plus the pipeline targets chosen by the namenode — the
 /// response to `addBlock` (§II step 2). The namenode also mints the
@@ -206,22 +134,12 @@ impl LocatedBlock {
     }
 }
 
-impl Wire for LocatedBlock {
-    fn encode(&self, w: &mut WireWriter) {
-        self.block.encode(w);
-        encode_vec(w, &self.targets);
-        w.put_u64(self.trace.raw());
-        w.put_u64(self.span.raw());
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(LocatedBlock {
-            block: ExtendedBlock::decode(r)?,
-            targets: decode_vec(r)?,
-            trace: TraceId(r.get_u64()?),
-            span: SpanId(r.get_u64()?),
-        })
-    }
-}
+wire_struct!(LocatedBlock {
+    block,
+    targets,
+    trace,
+    span
+});
 
 /// One client→namenode speed observation: mean transfer bandwidth to a
 /// first-datanode, in bytes per second (§III-B).
@@ -233,20 +151,11 @@ pub struct SpeedRecord {
     pub samples: u32,
 }
 
-impl Wire for SpeedRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.datanode.raw());
-        w.put_f64(self.bytes_per_sec);
-        w.put_u32(self.samples);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(SpeedRecord {
-            datanode: DatanodeId(r.get_u32()?),
-            bytes_per_sec: r.get_f64()?,
-            samples: r.get_u32()?,
-        })
-    }
-}
+wire_struct!(SpeedRecord {
+    datanode,
+    bytes_per_sec,
+    samples
+});
 
 /// File metadata as returned by `getFileInfo`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,28 +169,15 @@ pub struct FileStatus {
     pub complete: bool,
 }
 
-impl Wire for FileStatus {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.file_id.raw());
-        w.put_str(&self.path);
-        w.put_u64(self.len);
-        w.put_u32(self.replication);
-        w.put_u64(self.block_size);
-        w.put_bool(self.is_dir);
-        w.put_bool(self.complete);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(FileStatus {
-            file_id: FileId(r.get_u64()?),
-            path: r.get_str()?,
-            len: r.get_u64()?,
-            replication: r.get_u32()?,
-            block_size: r.get_u64()?,
-            is_dir: r.get_bool()?,
-            complete: r.get_bool()?,
-        })
-    }
-}
+wire_struct!(FileStatus {
+    file_id,
+    path,
+    len,
+    replication,
+    block_size,
+    is_dir,
+    complete
+});
 
 // ---------------------------------------------------------------------------
 // ClientProtocol
@@ -412,429 +308,56 @@ pub enum ClientResponse {
     Error(String),
 }
 
-const CR_REGISTER: u8 = 0;
-const CR_CREATE: u8 = 1;
-const CR_ADD_BLOCK: u8 = 2;
-const CR_COMMIT: u8 = 3;
-const CR_COMPLETE: u8 = 4;
-const CR_ABANDON: u8 = 5;
-const CR_ADDITIONAL: u8 = 6;
-const CR_RECOVERY: u8 = 7;
-const CR_SPEEDS: u8 = 8;
-const CR_FILE_INFO: u8 = 9;
-const CR_LOCATIONS: u8 = 10;
-const CR_LIST: u8 = 11;
-const CR_DELETE: u8 = 12;
-const CR_BAD_REPLICA: u8 = 13;
-const CR_TELEMETRY: u8 = 14;
-const CR_IDEMPOTENT: u8 = 15;
-const CR_RENAME: u8 = 16;
+wire_enum!(ClientRequest {
+    0 => Register { host_name, rack },
+    1 => Create { client, path, replication, block_size, overwrite, mode },
+    2 => AddBlock { client, file_id, previous, excluded },
+    3 => CommitBlock { client, file_id, block },
+    4 => Complete { client, file_id, last },
+    5 => AbandonBlock { client, file_id, block },
+    6 => GetAdditionalDatanodes { client, block, existing, wanted },
+    7 => BeginBlockRecovery { client, block },
+    8 => ReportSpeeds { client, records },
+    9 => GetFileInfo { path },
+    10 => GetBlockLocations { client, path },
+    11 => List { path },
+    12 => Delete { path },
+    13 => ReportBadReplica { client, block, datanode },
+    14 => GetTelemetry,
+    15 => Idempotent { client, request_id, inner = decode_envelope_inner },
+    16 => Rename { src, dst },
+});
 
-impl Wire for ClientRequest {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ClientRequest::Register { host_name, rack } => {
-                w.put_u8(CR_REGISTER);
-                w.put_str(host_name);
-                w.put_str(rack);
-            }
-            ClientRequest::Create {
-                client,
-                path,
-                replication,
-                block_size,
-                overwrite,
-                mode,
-            } => {
-                w.put_u8(CR_CREATE);
-                w.put_u64(client.raw());
-                w.put_str(path);
-                w.put_u32(*replication);
-                w.put_u64(*block_size);
-                w.put_bool(*overwrite);
-                mode.encode(w);
-            }
-            ClientRequest::AddBlock {
-                client,
-                file_id,
-                previous,
-                excluded,
-            } => {
-                w.put_u8(CR_ADD_BLOCK);
-                w.put_u64(client.raw());
-                w.put_u64(file_id.raw());
-                match previous {
-                    Some(b) => {
-                        w.put_bool(true);
-                        b.encode(w);
-                    }
-                    None => w.put_bool(false),
-                }
-                w.put_u32(excluded.len() as u32);
-                for d in excluded {
-                    w.put_u32(d.raw());
-                }
-            }
-            ClientRequest::CommitBlock {
-                client,
-                file_id,
-                block,
-            } => {
-                w.put_u8(CR_COMMIT);
-                w.put_u64(client.raw());
-                w.put_u64(file_id.raw());
-                block.encode(w);
-            }
-            ClientRequest::Complete {
-                client,
-                file_id,
-                last,
-            } => {
-                w.put_u8(CR_COMPLETE);
-                w.put_u64(client.raw());
-                w.put_u64(file_id.raw());
-                match last {
-                    Some(b) => {
-                        w.put_bool(true);
-                        b.encode(w);
-                    }
-                    None => w.put_bool(false),
-                }
-            }
-            ClientRequest::AbandonBlock {
-                client,
-                file_id,
-                block,
-            } => {
-                w.put_u8(CR_ABANDON);
-                w.put_u64(client.raw());
-                w.put_u64(file_id.raw());
-                w.put_u64(block.raw());
-            }
-            ClientRequest::GetAdditionalDatanodes {
-                client,
-                block,
-                existing,
-                wanted,
-            } => {
-                w.put_u8(CR_ADDITIONAL);
-                w.put_u64(client.raw());
-                w.put_u64(block.raw());
-                w.put_u32(existing.len() as u32);
-                for d in existing {
-                    w.put_u32(d.raw());
-                }
-                w.put_u32(*wanted);
-            }
-            ClientRequest::BeginBlockRecovery { client, block } => {
-                w.put_u8(CR_RECOVERY);
-                w.put_u64(client.raw());
-                w.put_u64(block.raw());
-            }
-            ClientRequest::ReportSpeeds { client, records } => {
-                w.put_u8(CR_SPEEDS);
-                w.put_u64(client.raw());
-                encode_vec(w, records);
-            }
-            ClientRequest::GetFileInfo { path } => {
-                w.put_u8(CR_FILE_INFO);
-                w.put_str(path);
-            }
-            ClientRequest::GetBlockLocations { client, path } => {
-                w.put_u8(CR_LOCATIONS);
-                w.put_u64(client.raw());
-                w.put_str(path);
-            }
-            ClientRequest::ReportBadReplica {
-                client,
-                block,
-                datanode,
-            } => {
-                w.put_u8(CR_BAD_REPLICA);
-                w.put_u64(client.raw());
-                block.encode(w);
-                w.put_u32(datanode.raw());
-            }
-            ClientRequest::List { path } => {
-                w.put_u8(CR_LIST);
-                w.put_str(path);
-            }
-            ClientRequest::Delete { path } => {
-                w.put_u8(CR_DELETE);
-                w.put_str(path);
-            }
-            ClientRequest::Rename { src, dst } => {
-                w.put_u8(CR_RENAME);
-                w.put_str(src);
-                w.put_str(dst);
-            }
-            ClientRequest::GetTelemetry => w.put_u8(CR_TELEMETRY),
-            ClientRequest::Idempotent {
-                client,
-                request_id,
-                inner,
-            } => {
-                w.put_u8(CR_IDEMPOTENT);
-                w.put_u64(client.raw());
-                w.put_u64(*request_id);
-                inner.encode(w);
-            }
-        }
+/// Decodes the request inside an `Idempotent` envelope. A nested
+/// envelope (tag 15 above) is rejected from its tag alone, before any
+/// recursion, so a frame of many nested headers cannot exhaust the
+/// stack.
+fn decode_envelope_inner(r: &mut WireReader) -> DfsResult<Box<ClientRequest>> {
+    if r.peek_u8()? == 15 {
+        return Err(DfsError::codec("nested Idempotent request envelope"));
     }
-
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            CR_REGISTER => ClientRequest::Register {
-                host_name: r.get_str()?,
-                rack: r.get_str()?,
-            },
-            CR_CREATE => ClientRequest::Create {
-                client: ClientId(r.get_u64()?),
-                path: r.get_str()?,
-                replication: r.get_u32()?,
-                block_size: r.get_u64()?,
-                overwrite: r.get_bool()?,
-                mode: WriteMode::decode(r)?,
-            },
-            CR_ADD_BLOCK => {
-                let client = ClientId(r.get_u64()?);
-                let file_id = FileId(r.get_u64()?);
-                let previous = if r.get_bool()? {
-                    Some(ExtendedBlock::decode(r)?)
-                } else {
-                    None
-                };
-                let n = r.get_u32()? as usize;
-                let excluded = (0..n)
-                    .map(|_| r.get_u32().map(DatanodeId))
-                    .collect::<DfsResult<Vec<_>>>()?;
-                ClientRequest::AddBlock {
-                    client,
-                    file_id,
-                    previous,
-                    excluded,
-                }
-            }
-            CR_COMMIT => ClientRequest::CommitBlock {
-                client: ClientId(r.get_u64()?),
-                file_id: FileId(r.get_u64()?),
-                block: ExtendedBlock::decode(r)?,
-            },
-            CR_COMPLETE => {
-                let client = ClientId(r.get_u64()?);
-                let file_id = FileId(r.get_u64()?);
-                let last = if r.get_bool()? {
-                    Some(ExtendedBlock::decode(r)?)
-                } else {
-                    None
-                };
-                ClientRequest::Complete {
-                    client,
-                    file_id,
-                    last,
-                }
-            }
-            CR_ABANDON => ClientRequest::AbandonBlock {
-                client: ClientId(r.get_u64()?),
-                file_id: FileId(r.get_u64()?),
-                block: BlockId(r.get_u64()?),
-            },
-            CR_ADDITIONAL => {
-                let client = ClientId(r.get_u64()?);
-                let block = BlockId(r.get_u64()?);
-                let n = r.get_u32()? as usize;
-                let existing = (0..n)
-                    .map(|_| r.get_u32().map(DatanodeId))
-                    .collect::<DfsResult<Vec<_>>>()?;
-                let wanted = r.get_u32()?;
-                ClientRequest::GetAdditionalDatanodes {
-                    client,
-                    block,
-                    existing,
-                    wanted,
-                }
-            }
-            CR_RECOVERY => ClientRequest::BeginBlockRecovery {
-                client: ClientId(r.get_u64()?),
-                block: BlockId(r.get_u64()?),
-            },
-            CR_SPEEDS => ClientRequest::ReportSpeeds {
-                client: ClientId(r.get_u64()?),
-                records: decode_vec(r)?,
-            },
-            CR_FILE_INFO => ClientRequest::GetFileInfo { path: r.get_str()? },
-            CR_LOCATIONS => ClientRequest::GetBlockLocations {
-                client: ClientId(r.get_u64()?),
-                path: r.get_str()?,
-            },
-            CR_BAD_REPLICA => ClientRequest::ReportBadReplica {
-                client: ClientId(r.get_u64()?),
-                block: ExtendedBlock::decode(r)?,
-                datanode: DatanodeId(r.get_u32()?),
-            },
-            CR_LIST => ClientRequest::List { path: r.get_str()? },
-            CR_DELETE => ClientRequest::Delete { path: r.get_str()? },
-            CR_RENAME => ClientRequest::Rename {
-                src: r.get_str()?,
-                dst: r.get_str()?,
-            },
-            CR_TELEMETRY => ClientRequest::GetTelemetry,
-            CR_IDEMPOTENT => {
-                let client = ClientId(r.get_u64()?);
-                let request_id = r.get_u64()?;
-                let inner = Box::new(ClientRequest::decode(r)?);
-                if matches!(*inner, ClientRequest::Idempotent { .. }) {
-                    return Err(DfsError::codec(
-                        "nested Idempotent request envelope".to_string(),
-                    ));
-                }
-                ClientRequest::Idempotent {
-                    client,
-                    request_id,
-                    inner,
-                }
-            }
-            x => return Err(DfsError::codec(format!("unknown ClientRequest tag {x}"))),
-        })
-    }
+    Box::decode(r)
 }
 
-const CP_REGISTERED: u8 = 0;
-const CP_CREATED: u8 = 1;
-const CP_ALLOCATED: u8 = 2;
-const CP_COMMITTED: u8 = 3;
-const CP_COMPLETED: u8 = 4;
-const CP_ABANDONED: u8 = 5;
-const CP_ADDITIONAL: u8 = 6;
-const CP_RECOVERY: u8 = 7;
-const CP_SPEEDS_ACK: u8 = 8;
-const CP_FILE_INFO: u8 = 9;
-const CP_LOCATIONS: u8 = 10;
-const CP_LISTING: u8 = 11;
-const CP_DELETED: u8 = 12;
-const CP_BAD_REPLICA_ACK: u8 = 13;
-const CP_TELEMETRY: u8 = 14;
-const CP_RENAMED: u8 = 15;
-const CP_ERROR: u8 = 255;
-
-impl Wire for ClientResponse {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ClientResponse::Registered { client } => {
-                w.put_u8(CP_REGISTERED);
-                w.put_u64(client.raw());
-            }
-            ClientResponse::Created { file_id } => {
-                w.put_u8(CP_CREATED);
-                w.put_u64(file_id.raw());
-            }
-            ClientResponse::BlockAllocated(lb) => {
-                w.put_u8(CP_ALLOCATED);
-                lb.encode(w);
-            }
-            ClientResponse::Committed => w.put_u8(CP_COMMITTED),
-            ClientResponse::Completed => w.put_u8(CP_COMPLETED),
-            ClientResponse::Abandoned => w.put_u8(CP_ABANDONED),
-            ClientResponse::AdditionalDatanodes { targets } => {
-                w.put_u8(CP_ADDITIONAL);
-                encode_vec(w, targets);
-            }
-            ClientResponse::RecoveryStamp { new_gen } => {
-                w.put_u8(CP_RECOVERY);
-                w.put_u64(new_gen.raw());
-            }
-            ClientResponse::SpeedsAck => w.put_u8(CP_SPEEDS_ACK),
-            ClientResponse::FileInfo(info) => {
-                w.put_u8(CP_FILE_INFO);
-                match info {
-                    Some(fs) => {
-                        w.put_bool(true);
-                        fs.encode(w);
-                    }
-                    None => w.put_bool(false),
-                }
-            }
-            ClientResponse::BlockLocations { blocks } => {
-                w.put_u8(CP_LOCATIONS);
-                encode_vec(w, blocks);
-            }
-            ClientResponse::Listing { entries } => {
-                w.put_u8(CP_LISTING);
-                encode_vec(w, entries);
-            }
-            ClientResponse::Deleted { existed } => {
-                w.put_u8(CP_DELETED);
-                w.put_bool(*existed);
-            }
-            ClientResponse::Renamed => w.put_u8(CP_RENAMED),
-            ClientResponse::BadReplicaAck => w.put_u8(CP_BAD_REPLICA_ACK),
-            ClientResponse::Telemetry {
-                rows,
-                text,
-                series_json,
-            } => {
-                w.put_u8(CP_TELEMETRY);
-                encode_vec(w, rows);
-                w.put_str(text);
-                w.put_str(series_json);
-            }
-            ClientResponse::Error(msg) => {
-                w.put_u8(CP_ERROR);
-                w.put_str(msg);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            CP_REGISTERED => ClientResponse::Registered {
-                client: ClientId(r.get_u64()?),
-            },
-            CP_CREATED => ClientResponse::Created {
-                file_id: FileId(r.get_u64()?),
-            },
-            CP_ALLOCATED => ClientResponse::BlockAllocated(LocatedBlock::decode(r)?),
-            CP_COMMITTED => ClientResponse::Committed,
-            CP_COMPLETED => ClientResponse::Completed,
-            CP_ABANDONED => ClientResponse::Abandoned,
-            CP_ADDITIONAL => ClientResponse::AdditionalDatanodes {
-                targets: decode_vec(r)?,
-            },
-            CP_RECOVERY => ClientResponse::RecoveryStamp {
-                new_gen: GenStamp(r.get_u64()?),
-            },
-            CP_SPEEDS_ACK => ClientResponse::SpeedsAck,
-            CP_FILE_INFO => {
-                let present = r.get_bool()?;
-                ClientResponse::FileInfo(if present {
-                    Some(FileStatus::decode(r)?)
-                } else {
-                    None
-                })
-            }
-            CP_LOCATIONS => ClientResponse::BlockLocations {
-                blocks: decode_vec(r)?,
-            },
-            CP_LISTING => ClientResponse::Listing {
-                entries: decode_vec(r)?,
-            },
-            CP_DELETED => ClientResponse::Deleted {
-                existed: r.get_bool()?,
-            },
-            CP_RENAMED => ClientResponse::Renamed,
-            CP_BAD_REPLICA_ACK => ClientResponse::BadReplicaAck,
-            CP_TELEMETRY => ClientResponse::Telemetry {
-                rows: decode_vec(r)?,
-                text: r.get_str()?,
-                series_json: r.get_str()?,
-            },
-            CP_ERROR => ClientResponse::Error(r.get_str()?),
-            x => return Err(DfsError::codec(format!("unknown ClientResponse tag {x}"))),
-        })
-    }
-}
+wire_enum!(ClientResponse {
+    0 => Registered { client },
+    1 => Created { file_id },
+    2 => BlockAllocated(block),
+    3 => Committed,
+    4 => Completed,
+    5 => Abandoned,
+    6 => AdditionalDatanodes { targets },
+    7 => RecoveryStamp { new_gen },
+    8 => SpeedsAck,
+    9 => FileInfo(info),
+    10 => BlockLocations { blocks },
+    11 => Listing { entries },
+    12 => Deleted { existed },
+    13 => BadReplicaAck,
+    14 => Telemetry { rows, text, series_json },
+    15 => Renamed,
+    255 => Error(msg),
+});
 
 // ---------------------------------------------------------------------------
 // DatanodeProtocol
@@ -872,96 +395,18 @@ pub enum DatanodeResponse {
     Error(String),
 }
 
-impl Wire for DatanodeRequest {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            DatanodeRequest::Register {
-                host_name,
-                rack,
-                data_addr,
-                capacity,
-            } => {
-                w.put_u8(0);
-                w.put_str(host_name);
-                w.put_str(rack);
-                w.put_str(data_addr);
-                w.put_u64(*capacity);
-            }
-            DatanodeRequest::Heartbeat {
-                id,
-                used,
-                active_transfers,
-                telemetry,
-            } => {
-                w.put_u8(1);
-                w.put_u32(id.raw());
-                w.put_u64(*used);
-                w.put_u32(*active_transfers);
-                telemetry.encode(w);
-            }
-            DatanodeRequest::BlockReceived { id, block } => {
-                w.put_u8(2);
-                w.put_u32(id.raw());
-                block.encode(w);
-            }
-        }
-    }
+wire_enum!(DatanodeRequest {
+    0 => Register { host_name, rack, data_addr, capacity },
+    1 => Heartbeat { id, used, active_transfers, telemetry },
+    2 => BlockReceived { id, block },
+});
 
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => DatanodeRequest::Register {
-                host_name: r.get_str()?,
-                rack: r.get_str()?,
-                data_addr: r.get_str()?,
-                capacity: r.get_u64()?,
-            },
-            1 => DatanodeRequest::Heartbeat {
-                id: DatanodeId(r.get_u32()?),
-                used: r.get_u64()?,
-                active_transfers: r.get_u32()?,
-                telemetry: DatanodeTelemetry::decode(r)?,
-            },
-            2 => DatanodeRequest::BlockReceived {
-                id: DatanodeId(r.get_u32()?),
-                block: ExtendedBlock::decode(r)?,
-            },
-            x => return Err(DfsError::codec(format!("unknown DatanodeRequest tag {x}"))),
-        })
-    }
-}
-
-impl Wire for DatanodeResponse {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            DatanodeResponse::Registered { id } => {
-                w.put_u8(0);
-                w.put_u32(id.raw());
-            }
-            DatanodeResponse::HeartbeatAck => w.put_u8(1),
-            DatanodeResponse::BlockReceivedAck => w.put_u8(2),
-            DatanodeResponse::Error(msg) => {
-                w.put_u8(255);
-                w.put_str(msg);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => DatanodeResponse::Registered {
-                id: DatanodeId(r.get_u32()?),
-            },
-            1 => DatanodeResponse::HeartbeatAck,
-            2 => DatanodeResponse::BlockReceivedAck,
-            255 => DatanodeResponse::Error(r.get_str()?),
-            x => {
-                return Err(DfsError::codec(format!(
-                    "unknown DatanodeResponse tag {x}"
-                )))
-            }
-        })
-    }
-}
+wire_enum!(DatanodeResponse {
+    0 => Registered { id },
+    1 => HeartbeatAck,
+    2 => BlockReceivedAck,
+    255 => Error(msg),
+});
 
 // ---------------------------------------------------------------------------
 // Data transfer protocol
@@ -1025,89 +470,30 @@ impl WriteBlockHeader {
     }
 }
 
-impl Wire for WriteBlockHeader {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.pipeline.raw());
-        w.put_u64(self.client.raw());
-        self.block.encode(w);
-        self.mode.encode(w);
-        encode_vec(w, &self.targets);
-        w.put_u32(self.position);
-        w.put_u64(self.client_buffer);
-        w.put_u64(self.trace.raw());
-        w.put_u64(self.span.raw());
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(WriteBlockHeader {
-            pipeline: PipelineId(r.get_u64()?),
-            client: ClientId(r.get_u64()?),
-            block: ExtendedBlock::decode(r)?,
-            mode: WriteMode::decode(r)?,
-            targets: decode_vec(r)?,
-            position: r.get_u32()?,
-            client_buffer: r.get_u64()?,
-            trace: TraceId(r.get_u64()?),
-            span: SpanId(r.get_u64()?),
-        })
-    }
-}
+wire_struct!(WriteBlockHeader {
+    pipeline,
+    client,
+    block,
+    mode,
+    targets,
+    position,
+    client_buffer,
+    trace,
+    span
+});
 
-impl Wire for DataOp {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            DataOp::WriteBlock(h) => {
-                w.put_u8(0);
-                h.encode(w);
-            }
-            DataOp::ReadBlock { block, offset, len } => {
-                w.put_u8(1);
-                block.encode(w);
-                w.put_u64(*offset);
-                w.put_u64(*len);
-            }
-            DataOp::RecoverBlock {
-                block,
-                new_gen,
-                new_len,
-            } => {
-                w.put_u8(2);
-                block.encode(w);
-                w.put_u64(new_gen.raw());
-                w.put_u64(*new_len);
-            }
-            DataOp::GetReplicaInfo { block } => {
-                w.put_u8(3);
-                w.put_u64(block.raw());
-            }
-            DataOp::GetTelemetry => w.put_u8(4),
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => DataOp::WriteBlock(WriteBlockHeader::decode(r)?),
-            1 => DataOp::ReadBlock {
-                block: ExtendedBlock::decode(r)?,
-                offset: r.get_u64()?,
-                len: r.get_u64()?,
-            },
-            2 => DataOp::RecoverBlock {
-                block: ExtendedBlock::decode(r)?,
-                new_gen: GenStamp(r.get_u64()?),
-                new_len: r.get_u64()?,
-            },
-            3 => DataOp::GetReplicaInfo {
-                block: BlockId(r.get_u64()?),
-            },
-            4 => DataOp::GetTelemetry,
-            x => return Err(DfsError::codec(format!("unknown DataOp tag {x}"))),
-        })
-    }
-}
+wire_enum!(DataOp {
+    0 => WriteBlock(header),
+    1 => ReadBlock { block, offset, len },
+    2 => RecoverBlock { block, new_gen, new_len },
+    3 => GetReplicaInfo { block },
+    4 => GetTelemetry,
+});
 
 /// A data packet travelling down a pipeline (§II step 3). The payload is
-/// a reference-counted `Bytes`: forwarding a packet to the mirror never
-/// copies the data.
+/// a reference-counted `Bytes`, so a decoded packet shares the received
+/// frame's buffer; forwarding it to the mirror re-encodes it, which
+/// copies the payload once into the outgoing frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     pub seq: u64,
@@ -1127,24 +513,13 @@ impl Packet {
     }
 }
 
-impl Wire for Packet {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.offset_in_block);
-        w.put_bool(self.last_in_block);
-        w.put_u32_slice(&self.checksums);
-        w.put_bytes(&self.payload);
-    }
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(Packet {
-            seq: r.get_u64()?,
-            offset_in_block: r.get_u64()?,
-            last_in_block: r.get_bool()?,
-            checksums: r.get_u32_vec()?,
-            payload: r.get_bytes()?,
-        })
-    }
-}
+wire_struct!(Packet {
+    seq,
+    offset_in_block,
+    last_in_block,
+    checksums,
+    payload
+});
 
 /// Per-datanode status inside an ack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1192,51 +567,34 @@ impl PipelineAck {
     }
 }
 
-impl Wire for PipelineAck {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(match self.kind {
-            AckKind::Packet => 0,
-            AckKind::FirstNodeFinish => 1,
-        });
-        w.put_u64(self.seq);
-        w.put_u64(self.batch);
-        w.put_u32(self.statuses.len() as u32);
-        for s in &self.statuses {
-            w.put_u8(match s {
-                AckStatus::Success => 0,
-                AckStatus::Error => 1,
-            });
-        }
-    }
+wire_enum!(AckStatus {
+    0 => Success,
+    1 => Error,
+});
 
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        let kind = match r.get_u8()? {
-            0 => AckKind::Packet,
-            1 => AckKind::FirstNodeFinish,
-            x => return Err(DfsError::codec(format!("unknown ack kind {x}"))),
-        };
-        let seq = r.get_u64()?;
-        let batch = r.get_u64()?;
-        let n = r.get_u32()? as usize;
-        if n > 1024 {
-            return Err(DfsError::codec(format!("ack status count {n} absurd")));
-        }
-        let statuses = (0..n)
-            .map(|_| {
-                Ok(match r.get_u8()? {
-                    0 => AckStatus::Success,
-                    1 => AckStatus::Error,
-                    x => return Err(DfsError::codec(format!("unknown ack status {x}"))),
-                })
-            })
-            .collect::<DfsResult<Vec<_>>>()?;
-        Ok(PipelineAck {
-            kind,
-            seq,
-            batch,
-            statuses,
-        })
+wire_enum!(AckKind {
+    0 => Packet,
+    1 => FirstNodeFinish,
+});
+
+wire_struct!(PipelineAck {
+    kind,
+    seq,
+    batch,
+    statuses = decode_ack_statuses
+});
+
+/// An ack carries one status per pipeline member, so a count beyond
+/// any plausible pipeline marks a corrupt frame.
+fn decode_ack_statuses(r: &mut WireReader) -> DfsResult<Vec<AckStatus>> {
+    let statuses = Vec::decode(r)?;
+    if statuses.len() > 1024 {
+        return Err(DfsError::codec(format!(
+            "ack status count {} absurd",
+            statuses.len()
+        )));
     }
+    Ok(statuses)
 }
 
 /// Reply to `DataOp::ReadBlock` / `RecoverBlock` / `GetReplicaInfo`.
@@ -1255,159 +613,22 @@ pub enum DataReply {
     Error(String),
 }
 
-impl Wire for DataReply {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            DataReply::ReadOk { len } => {
-                w.put_u8(0);
-                w.put_u64(*len);
-            }
-            DataReply::RecoverOk { block } => {
-                w.put_u8(1);
-                block.encode(w);
-            }
-            DataReply::ReplicaInfo { block, finalized } => {
-                w.put_u8(2);
-                match block {
-                    Some(b) => {
-                        w.put_bool(true);
-                        b.encode(w);
-                    }
-                    None => w.put_bool(false),
-                }
-                w.put_bool(*finalized);
-            }
-            DataReply::Telemetry { text, series_json } => {
-                w.put_u8(3);
-                w.put_str(text);
-                w.put_str(series_json);
-            }
-            DataReply::Error(m) => {
-                w.put_u8(255);
-                w.put_str(m);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> DfsResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => DataReply::ReadOk { len: r.get_u64()? },
-            1 => DataReply::RecoverOk {
-                block: ExtendedBlock::decode(r)?,
-            },
-            2 => {
-                let block = if r.get_bool()? {
-                    Some(ExtendedBlock::decode(r)?)
-                } else {
-                    None
-                };
-                DataReply::ReplicaInfo {
-                    block,
-                    finalized: r.get_bool()?,
-                }
-            }
-            3 => DataReply::Telemetry {
-                text: r.get_str()?,
-                series_json: r.get_str()?,
-            },
-            255 => DataReply::Error(r.get_str()?),
-            x => return Err(DfsError::codec(format!("unknown DataReply tag {x}"))),
-        })
-    }
-}
+wire_enum!(DataReply {
+    0 => ReadOk { len },
+    1 => RecoverOk { block },
+    2 => ReplicaInfo { block, finalized },
+    3 => Telemetry { text, series_json },
+    255 => Error(msg),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn dn(i: u32) -> DatanodeInfo {
-        DatanodeInfo {
-            id: DatanodeId(i),
-            host_name: format!("dn{i}"),
-            rack: format!("rack-{}", i % 2),
-            addr: format!("dn{i}:50010"),
-        }
-    }
-
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let decoded = T::from_bytes(v.to_bytes()).unwrap();
         assert_eq!(decoded, v);
-    }
-
-    #[test]
-    fn client_request_roundtrips() {
-        roundtrip(ClientRequest::Register {
-            host_name: "client".into(),
-            rack: "rack-a".into(),
-        });
-        roundtrip(ClientRequest::Create {
-            client: ClientId(4),
-            path: "/data/file.bin".into(),
-            replication: 3,
-            block_size: 64 << 20,
-            overwrite: false,
-            mode: WriteMode::Smarth,
-        });
-        roundtrip(ClientRequest::AddBlock {
-            client: ClientId(4),
-            file_id: FileId(8),
-            previous: Some(ExtendedBlock::new(BlockId(1), GenStamp(1), 64 << 20)),
-            excluded: vec![DatanodeId(1), DatanodeId(5)],
-        });
-        roundtrip(ClientRequest::AddBlock {
-            client: ClientId(4),
-            file_id: FileId(8),
-            previous: None,
-            excluded: vec![],
-        });
-        roundtrip(ClientRequest::Complete {
-            client: ClientId(4),
-            file_id: FileId(8),
-            last: None,
-        });
-        roundtrip(ClientRequest::GetAdditionalDatanodes {
-            client: ClientId(4),
-            block: BlockId(77),
-            existing: vec![DatanodeId(0), DatanodeId(2)],
-            wanted: 1,
-        });
-        roundtrip(ClientRequest::BeginBlockRecovery {
-            client: ClientId(4),
-            block: BlockId(77),
-        });
-        roundtrip(ClientRequest::ReportSpeeds {
-            client: ClientId(4),
-            records: vec![SpeedRecord {
-                datanode: DatanodeId(3),
-                bytes_per_sec: 27e6,
-                samples: 12,
-            }],
-        });
-        roundtrip(ClientRequest::Delete { path: "/x".into() });
-        roundtrip(ClientRequest::Rename {
-            src: "/x".into(),
-            dst: "/vol/y".into(),
-        });
-        roundtrip(ClientRequest::GetBlockLocations {
-            client: ClientId(4),
-            path: "/data/file.bin".into(),
-        });
-        roundtrip(ClientRequest::ReportBadReplica {
-            client: ClientId(4),
-            block: ExtendedBlock::new(BlockId(77), GenStamp(2), 1 << 20),
-            datanode: DatanodeId(5),
-        });
-        roundtrip(ClientRequest::Idempotent {
-            client: ClientId(4),
-            request_id: 99,
-            inner: Box::new(ClientRequest::AddBlock {
-                client: ClientId(4),
-                file_id: FileId(8),
-                previous: Some(ExtendedBlock::new(BlockId(1), GenStamp(1), 64 << 20)),
-                excluded: vec![DatanodeId(2)],
-            }),
-        });
     }
 
     #[test]
@@ -1425,140 +646,35 @@ mod tests {
     }
 
     #[test]
-    fn client_response_roundtrips() {
-        roundtrip(ClientResponse::Registered { client: ClientId(9) });
-        roundtrip(ClientResponse::BlockAllocated(LocatedBlock {
-            block: ExtendedBlock::new(BlockId(5), GenStamp(1), 0),
-            targets: vec![dn(0), dn(5), dn(6)],
-            trace: TraceId(17),
-            span: SpanId(18),
-        }));
-        roundtrip(ClientResponse::BlockAllocated(LocatedBlock::untraced(
-            ExtendedBlock::new(BlockId(6), GenStamp(1), 0),
-            vec![dn(1)],
-        )));
-        roundtrip(ClientResponse::AdditionalDatanodes {
-            targets: vec![dn(8)],
-        });
-        roundtrip(ClientResponse::RecoveryStamp {
-            new_gen: GenStamp(3),
-        });
-        roundtrip(ClientResponse::FileInfo(Some(FileStatus {
-            file_id: FileId(1),
-            path: "/a/b".into(),
-            len: 12345,
-            replication: 3,
-            block_size: 64 << 20,
-            is_dir: false,
-            complete: true,
-        })));
-        roundtrip(ClientResponse::FileInfo(None));
-        roundtrip(ClientResponse::BadReplicaAck);
-        roundtrip(ClientResponse::Error("boom".into()));
+    fn deeply_nested_envelope_is_an_error_not_a_stack_overflow() {
+        // 200,000 envelope headers (tag, client, request id) around one
+        // request: 3.4 MB, far below `MAX_FRAME`.
+        let depth = 200_000;
+        let mut frame = Vec::with_capacity(17 * depth + 1);
+        for _ in 0..depth {
+            frame.push(15);
+            frame.extend_from_slice(&[0; 16]);
+        }
+        frame.push(14);
+        assert!(matches!(
+            ClientRequest::from_bytes(Bytes::from(frame)),
+            Err(DfsError::Codec(_))
+        ));
     }
 
     #[test]
-    fn telemetry_roundtrips() {
-        roundtrip(ClientRequest::GetTelemetry);
-        roundtrip(ClientResponse::Telemetry {
-            rows: vec![NodeTelemetryRow {
-                id: DatanodeId(3),
-                host_name: "dn3".into(),
-                rack: "rack-1".into(),
-                alive: true,
-                used: 1 << 30,
-                capacity: 1 << 40,
-                active_transfers: 2,
-                telemetry: DatanodeTelemetry {
-                    staging_packets: 7,
-                    buffered_bytes: 4096,
-                    forward_bytes: 128,
-                },
-                age_ms: 1500,
-            }],
-            text: "# TYPE smarth_bytes_written counter\nsmarth_bytes_written 1\n".into(),
-            series_json: "[]".into(),
-        });
-        roundtrip(ClientResponse::Telemetry {
-            rows: vec![],
-            text: String::new(),
-            series_json: String::new(),
-        });
-        roundtrip(DataOp::GetTelemetry);
-        roundtrip(DataReply::Telemetry {
-            text: "smarth_bytes_written 9\n".into(),
-            series_json: "[{\"name\":\"bytes_written\"}]".into(),
-        });
-    }
-
-    #[test]
-    fn datanode_protocol_roundtrips() {
-        roundtrip(DatanodeRequest::Register {
-            host_name: "dn0".into(),
-            rack: "rack-a".into(),
-            data_addr: "dn0:50010".into(),
-            capacity: 1 << 40,
-        });
-        roundtrip(DatanodeRequest::Heartbeat {
-            id: DatanodeId(2),
-            used: 42,
-            active_transfers: 3,
-            telemetry: DatanodeTelemetry {
-                staging_packets: 5,
-                buffered_bytes: 1 << 16,
-                forward_bytes: 512,
-            },
-        });
-        roundtrip(DatanodeRequest::BlockReceived {
-            id: DatanodeId(2),
-            block: ExtendedBlock::new(BlockId(9), GenStamp(2), 100),
-        });
-        roundtrip(DatanodeResponse::Registered { id: DatanodeId(7) });
-        roundtrip(DatanodeResponse::HeartbeatAck);
-        roundtrip(DatanodeResponse::Error("nope".into()));
-    }
-
-    #[test]
-    fn data_transfer_roundtrips() {
-        roundtrip(DataOp::WriteBlock(WriteBlockHeader {
-            pipeline: PipelineId(3),
-            client: ClientId(1),
-            block: ExtendedBlock::new(BlockId(2), GenStamp(1), 0),
-            mode: WriteMode::Smarth,
-            targets: vec![dn(5), dn(6)],
-            position: 0,
-            client_buffer: 64 << 20,
-            trace: TraceId(9),
-            span: SpanId(10),
-        }));
-        roundtrip(DataOp::ReadBlock {
-            block: ExtendedBlock::new(BlockId(2), GenStamp(1), 4096),
-            offset: 512,
-            len: 1024,
-        });
-        roundtrip(DataOp::RecoverBlock {
-            block: ExtendedBlock::new(BlockId(2), GenStamp(1), 4096),
-            new_gen: GenStamp(2),
-            new_len: 2048,
-        });
-        roundtrip(DataReply::ReadOk { len: 4096 });
-        roundtrip(DataReply::ReplicaInfo {
-            block: Some(ExtendedBlock::new(BlockId(2), GenStamp(1), 4096)),
-            finalized: false,
-        });
-    }
-
-    #[test]
-    fn packet_roundtrip_preserves_payload() {
-        let payload = Bytes::from(vec![0xAB; 1000]);
-        let p = Packet {
-            seq: 17,
-            offset_in_block: 64 * 1024,
-            last_in_block: true,
-            checksums: vec![1, 2],
-            payload: payload.clone(),
+    fn ack_status_count_is_capped() {
+        let ack = |n| PipelineAck {
+            kind: AckKind::Packet,
+            seq: 1,
+            batch: 1,
+            statuses: vec![AckStatus::Success; n],
         };
-        roundtrip(p);
+        roundtrip(ack(1024));
+        assert!(matches!(
+            PipelineAck::from_bytes(ack(1025).to_bytes()),
+            Err(DfsError::Codec(_))
+        ));
     }
 
     #[test]
@@ -1580,30 +696,13 @@ mod tests {
         };
         assert!(!bad.all_success());
         assert_eq!(bad.first_error(), Some(1));
-
-        let fnfa = PipelineAck {
-            kind: AckKind::FirstNodeFinish,
-            seq: 99,
-            batch: 1,
-            statuses: vec![AckStatus::Success],
-        };
-        roundtrip(fnfa);
-
-        // A coalesced ack round-trips its batch size.
-        let batched = PipelineAck {
-            kind: AckKind::Packet,
-            seq: 12,
-            batch: 5,
-            statuses: vec![AckStatus::Success; 3],
-        };
-        roundtrip(batched);
     }
 
     #[test]
     fn trace_context_propagates_through_headers() {
         let lb = LocatedBlock {
             block: ExtendedBlock::new(BlockId(5), GenStamp(1), 0),
-            targets: vec![dn(0)],
+            targets: vec![],
             trace: TraceId(21),
             span: SpanId(34),
         };
@@ -1634,50 +733,421 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        assert!(ClientRequest::from_bytes(Bytes::from_static(&[200])).is_err());
-        assert!(ClientResponse::from_bytes(Bytes::from_static(&[200])).is_err());
-        assert!(DataOp::from_bytes(Bytes::from_static(&[9])).is_err());
+        let b = Bytes::from_static(&[200]);
+        assert!(ClientRequest::from_bytes(b.clone()).is_err());
+        assert!(ClientResponse::from_bytes(b.clone()).is_err());
+        assert!(DatanodeRequest::from_bytes(b.clone()).is_err());
+        assert!(DatanodeResponse::from_bytes(b.clone()).is_err());
+        assert!(DataOp::from_bytes(b.clone()).is_err());
+        assert!(DataReply::from_bytes(b).is_err());
+        assert!(WriteMode::from_bytes(Bytes::from_static(&[2])).is_err());
+    }
+
+    /// Raw material for one generated message: field values are read
+    /// off a vector of random words by position (wrapping around).
+    #[derive(Debug, Clone)]
+    struct Pool(Vec<u64>);
+
+    fn pool() -> impl Strategy<Value = Pool> {
+        collection::vec(any::<u64>(), 32..33).prop_map(Pool)
+    }
+
+    impl Pool {
+        fn u(&self, i: usize) -> u64 {
+            self.0[i % self.0.len()]
+        }
+        fn w(&self, i: usize) -> u32 {
+            self.u(i) as u32
+        }
+        fn b(&self, i: usize) -> bool {
+            self.u(i) & 1 == 1
+        }
+        /// A small count, 0..=3.
+        fn n(&self, i: usize) -> usize {
+            (self.u(i) % 4) as usize
+        }
+        /// Up to 8 characters, mixing ASCII and multi-byte UTF-8.
+        fn s(&self, i: usize) -> String {
+            const CHARS: [char; 8] = ['a', 'Z', '/', '.', ' ', 'é', '€', '路'];
+            let x = self.u(i);
+            (0..x % 9)
+                .map(|k| CHARS[(x >> (8 + 3 * k)) as usize % 8])
+                .collect()
+        }
+        fn mode(&self, i: usize) -> WriteMode {
+            if self.b(i) {
+                WriteMode::Smarth
+            } else {
+                WriteMode::Hdfs
+            }
+        }
+        fn block(&self, i: usize) -> ExtendedBlock {
+            ExtendedBlock::new(BlockId(self.u(i)), GenStamp(self.u(i + 1)), self.u(i + 2))
+        }
+        fn maybe_block(&self, i: usize) -> Option<ExtendedBlock> {
+            self.b(i).then(|| self.block(i + 1))
+        }
+        fn dn_ids(&self, i: usize) -> Vec<DatanodeId> {
+            (0..self.n(i))
+                .map(|k| DatanodeId(self.w(i + 1 + k)))
+                .collect()
+        }
+        fn dns(&self, i: usize) -> Vec<DatanodeInfo> {
+            (0..self.n(i))
+                .map(|k| DatanodeInfo {
+                    id: DatanodeId(self.w(i + 4 * k)),
+                    host_name: self.s(i + 4 * k + 1),
+                    rack: self.s(i + 4 * k + 2),
+                    addr: self.s(i + 4 * k + 3),
+                })
+                .collect()
+        }
+        fn located(&self, i: usize) -> LocatedBlock {
+            LocatedBlock {
+                block: self.block(i),
+                targets: self.dns(i + 3),
+                trace: TraceId(self.u(i + 20)),
+                span: SpanId(self.u(i + 21)),
+            }
+        }
+        fn status(&self, i: usize) -> FileStatus {
+            FileStatus {
+                file_id: FileId(self.u(i)),
+                path: self.s(i + 1),
+                len: self.u(i + 2),
+                replication: self.w(i + 3),
+                block_size: self.u(i + 4),
+                is_dir: self.b(i + 5),
+                complete: self.b(i + 6),
+            }
+        }
+        fn telemetry(&self, i: usize) -> DatanodeTelemetry {
+            DatanodeTelemetry {
+                staging_packets: self.u(i),
+                buffered_bytes: self.u(i + 1),
+                forward_bytes: self.u(i + 2),
+            }
+        }
+    }
+
+    /// Every `ClientRequest` but the `Idempotent` envelope.
+    fn plain_request() -> BoxedStrategy<ClientRequest> {
+        use ClientRequest as R;
+        prop_oneof![
+            pool().prop_map(|p| R::Register {
+                host_name: p.s(0),
+                rack: p.s(1)
+            }),
+            pool().prop_map(|p| R::Create {
+                client: ClientId(p.u(0)),
+                path: p.s(1),
+                replication: p.w(2),
+                block_size: p.u(3),
+                overwrite: p.b(4),
+                mode: p.mode(5),
+            }),
+            pool().prop_map(|p| R::AddBlock {
+                client: ClientId(p.u(0)),
+                file_id: FileId(p.u(1)),
+                previous: p.maybe_block(2),
+                excluded: p.dn_ids(6),
+            }),
+            pool().prop_map(|p| R::CommitBlock {
+                client: ClientId(p.u(0)),
+                file_id: FileId(p.u(1)),
+                block: p.block(2),
+            }),
+            pool().prop_map(|p| R::Complete {
+                client: ClientId(p.u(0)),
+                file_id: FileId(p.u(1)),
+                last: p.maybe_block(2),
+            }),
+            pool().prop_map(|p| R::AbandonBlock {
+                client: ClientId(p.u(0)),
+                file_id: FileId(p.u(1)),
+                block: BlockId(p.u(2)),
+            }),
+            pool().prop_map(|p| R::GetAdditionalDatanodes {
+                client: ClientId(p.u(0)),
+                block: BlockId(p.u(1)),
+                existing: p.dn_ids(2),
+                wanted: p.w(7),
+            }),
+            pool().prop_map(|p| R::BeginBlockRecovery {
+                client: ClientId(p.u(0)),
+                block: BlockId(p.u(1)),
+            }),
+            pool().prop_map(|p| R::ReportSpeeds {
+                client: ClientId(p.u(0)),
+                records: (0..p.n(1))
+                    .map(|k| SpeedRecord {
+                        datanode: DatanodeId(p.w(2 + k)),
+                        bytes_per_sec: p.w(6 + k) as f64 / 8.0,
+                        samples: p.w(10 + k),
+                    })
+                    .collect(),
+            }),
+            pool().prop_map(|p| R::GetFileInfo { path: p.s(0) }),
+            pool().prop_map(|p| R::GetBlockLocations {
+                client: ClientId(p.u(0)),
+                path: p.s(1),
+            }),
+            pool().prop_map(|p| R::ReportBadReplica {
+                client: ClientId(p.u(0)),
+                block: p.block(1),
+                datanode: DatanodeId(p.w(4)),
+            }),
+            pool().prop_map(|p| R::List { path: p.s(0) }),
+            pool().prop_map(|p| R::Delete { path: p.s(0) }),
+            pool().prop_map(|p| R::Rename {
+                src: p.s(0),
+                dst: p.s(1)
+            }),
+            Just(R::GetTelemetry),
+        ]
+        .boxed()
+    }
+
+    fn client_request() -> BoxedStrategy<ClientRequest> {
+        let envelope = plain_request().prop_flat_map(|inner| {
+            pool().prop_map(move |p| ClientRequest::Idempotent {
+                client: ClientId(p.u(0)),
+                request_id: p.u(1),
+                inner: Box::new(inner.clone()),
+            })
+        });
+        prop_oneof![plain_request(), envelope].boxed()
+    }
+
+    fn client_response() -> BoxedStrategy<ClientResponse> {
+        use ClientResponse as R;
+        prop_oneof![
+            pool().prop_map(|p| R::Registered {
+                client: ClientId(p.u(0))
+            }),
+            pool().prop_map(|p| R::Created {
+                file_id: FileId(p.u(0))
+            }),
+            pool().prop_map(|p| R::BlockAllocated(p.located(0))),
+            Just(R::Committed),
+            Just(R::Completed),
+            Just(R::Abandoned),
+            pool().prop_map(|p| R::AdditionalDatanodes { targets: p.dns(0) }),
+            Just(R::BadReplicaAck),
+            pool().prop_map(|p| R::RecoveryStamp {
+                new_gen: GenStamp(p.u(0))
+            }),
+            Just(R::SpeedsAck),
+            pool().prop_map(|p| R::FileInfo(p.b(0).then(|| p.status(1)))),
+            pool().prop_map(|p| R::BlockLocations {
+                blocks: (0..p.n(0)).map(|k| p.located(1 + k)).collect(),
+            }),
+            pool().prop_map(|p| R::Listing {
+                entries: (0..p.n(0)).map(|k| p.status(1 + k)).collect(),
+            }),
+            pool().prop_map(|p| R::Deleted { existed: p.b(0) }),
+            Just(R::Renamed),
+            pool().prop_map(|p| R::Telemetry {
+                rows: (0..p.n(0))
+                    .map(|k| NodeTelemetryRow {
+                        id: DatanodeId(p.w(1 + k)),
+                        host_name: p.s(2 + k),
+                        rack: p.s(3 + k),
+                        alive: p.b(4 + k),
+                        used: p.u(5 + k),
+                        capacity: p.u(6 + k),
+                        active_transfers: p.w(7 + k),
+                        telemetry: p.telemetry(8 + k),
+                        age_ms: p.u(11 + k),
+                    })
+                    .collect(),
+                text: p.s(20),
+                series_json: p.s(21),
+            }),
+            pool().prop_map(|p| R::Error(p.s(0))),
+        ]
+        .boxed()
+    }
+
+    fn datanode_request() -> BoxedStrategy<DatanodeRequest> {
+        prop_oneof![
+            pool().prop_map(|p| DatanodeRequest::Register {
+                host_name: p.s(0),
+                rack: p.s(1),
+                data_addr: p.s(2),
+                capacity: p.u(3),
+            }),
+            pool().prop_map(|p| DatanodeRequest::Heartbeat {
+                id: DatanodeId(p.w(0)),
+                used: p.u(1),
+                active_transfers: p.w(2),
+                telemetry: p.telemetry(3),
+            }),
+            pool().prop_map(|p| DatanodeRequest::BlockReceived {
+                id: DatanodeId(p.w(0)),
+                block: p.block(1),
+            }),
+        ]
+        .boxed()
+    }
+
+    fn datanode_response() -> BoxedStrategy<DatanodeResponse> {
+        prop_oneof![
+            pool().prop_map(|p| DatanodeResponse::Registered {
+                id: DatanodeId(p.w(0))
+            }),
+            Just(DatanodeResponse::HeartbeatAck),
+            Just(DatanodeResponse::BlockReceivedAck),
+            pool().prop_map(|p| DatanodeResponse::Error(p.s(0))),
+        ]
+        .boxed()
+    }
+
+    fn data_op() -> BoxedStrategy<DataOp> {
+        prop_oneof![
+            pool().prop_map(|p| DataOp::WriteBlock(WriteBlockHeader {
+                pipeline: PipelineId(p.u(0)),
+                client: ClientId(p.u(1)),
+                block: p.block(2),
+                mode: p.mode(5),
+                targets: p.dns(6),
+                position: p.w(22),
+                client_buffer: p.u(23),
+                trace: TraceId(p.u(24)),
+                span: SpanId(p.u(25)),
+            })),
+            pool().prop_map(|p| DataOp::ReadBlock {
+                block: p.block(0),
+                offset: p.u(3),
+                len: p.u(4),
+            }),
+            pool().prop_map(|p| DataOp::RecoverBlock {
+                block: p.block(0),
+                new_gen: GenStamp(p.u(3)),
+                new_len: p.u(4),
+            }),
+            pool().prop_map(|p| DataOp::GetReplicaInfo {
+                block: BlockId(p.u(0))
+            }),
+            Just(DataOp::GetTelemetry),
+        ]
+        .boxed()
+    }
+
+    fn pipeline_ack() -> impl Strategy<Value = PipelineAck> {
+        pool().prop_map(|p| PipelineAck {
+            kind: if p.b(0) {
+                AckKind::FirstNodeFinish
+            } else {
+                AckKind::Packet
+            },
+            seq: p.u(1),
+            batch: p.u(2),
+            statuses: (0..p.u(3) % 9)
+                .map(|k| match (p.u(4) >> k) & 1 {
+                    0 => AckStatus::Success,
+                    _ => AckStatus::Error,
+                })
+                .collect(),
+        })
+    }
+
+    fn data_reply() -> BoxedStrategy<DataReply> {
+        prop_oneof![
+            pool().prop_map(|p| DataReply::ReadOk { len: p.u(0) }),
+            pool().prop_map(|p| DataReply::RecoverOk { block: p.block(0) }),
+            pool().prop_map(|p| DataReply::ReplicaInfo {
+                block: p.maybe_block(0),
+                finalized: p.b(4),
+            }),
+            pool().prop_map(|p| DataReply::Telemetry {
+                text: p.s(0),
+                series_json: p.s(1),
+            }),
+            pool().prop_map(|p| DataReply::Error(p.s(0))),
+        ]
+        .boxed()
+    }
+
+    /// Runs every decoder over `b`; none may panic.
+    fn decode_all(b: &Bytes) {
+        let _ = ClientRequest::from_bytes(b.clone());
+        let _ = ClientResponse::from_bytes(b.clone());
+        let _ = DatanodeRequest::from_bytes(b.clone());
+        let _ = DatanodeResponse::from_bytes(b.clone());
+        let _ = DataOp::from_bytes(b.clone());
+        let _ = Packet::from_bytes(b.clone());
+        let _ = PipelineAck::from_bytes(b.clone());
+        let _ = DataReply::from_bytes(b.clone());
     }
 
     proptest! {
         #[test]
+        fn client_request_roundtrip_prop(m in client_request()) {
+            roundtrip(m);
+        }
+
+        #[test]
+        fn client_response_roundtrip_prop(m in client_response()) {
+            roundtrip(m);
+        }
+
+        #[test]
+        fn datanode_request_roundtrip_prop(m in datanode_request()) {
+            roundtrip(m);
+        }
+
+        #[test]
+        fn datanode_response_roundtrip_prop(m in datanode_response()) {
+            roundtrip(m);
+        }
+
+        #[test]
+        fn data_op_roundtrip_prop(m in data_op()) {
+            roundtrip(m);
+        }
+
+        #[test]
         fn packet_roundtrip_prop(seq in any::<u64>(),
                                  offset in any::<u64>(),
                                  last in any::<bool>(),
-                                 sums in proptest::collection::vec(any::<u32>(), 0..64),
-                                 payload in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            let p = Packet {
+                                 sums in collection::vec(any::<u32>(), 0..64),
+                                 payload in collection::vec(any::<u8>(), 0..4096)) {
+            roundtrip(Packet {
                 seq,
                 offset_in_block: offset,
                 last_in_block: last,
                 checksums: sums,
                 payload: Bytes::from(payload),
-            };
-            let d = Packet::from_bytes(p.to_bytes()).unwrap();
-            prop_assert_eq!(d, p);
+            });
         }
 
         #[test]
-        fn speed_record_roundtrip_prop(dn_id in any::<u32>(), bps in 0f64..1e12, n in any::<u32>()) {
-            let rec = SpeedRecord { datanode: DatanodeId(dn_id), bytes_per_sec: bps, samples: n };
-            let mut w = WireWriter::new();
-            rec.encode(&mut w);
-            let mut r = WireReader::new(w.finish());
-            let d = SpeedRecord::decode(&mut r).unwrap();
-            prop_assert_eq!(d, rec);
+        fn pipeline_ack_roundtrip_prop(m in pipeline_ack()) {
+            roundtrip(m);
         }
 
         #[test]
-        fn garbage_never_panics_decoders(raw in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let b = Bytes::from(raw);
-            let _ = ClientRequest::from_bytes(b.clone());
-            let _ = ClientResponse::from_bytes(b.clone());
-            let _ = DatanodeRequest::from_bytes(b.clone());
-            let _ = DatanodeResponse::from_bytes(b.clone());
-            let _ = DataOp::from_bytes(b.clone());
-            let _ = Packet::from_bytes(b.clone());
-            let _ = PipelineAck::from_bytes(b.clone());
-            let _ = DataReply::from_bytes(b);
+        fn data_reply_roundtrip_prop(m in data_reply()) {
+            roundtrip(m);
+        }
+
+        /// Random bytes, and valid frames with one byte overwritten or
+        /// cut short, must never panic a decoder.
+        #[test]
+        fn garbage_never_panics_decoders(raw in collection::vec(any::<u8>(), 0..128),
+                                         req in client_request(),
+                                         resp in client_response(),
+                                         at in any::<usize>(),
+                                         byte in any::<u8>()) {
+            decode_all(&Bytes::from(raw));
+            for frame in [req.to_bytes(), resp.to_bytes()] {
+                let cut = at % frame.len();
+                let mut flipped = frame.to_vec();
+                flipped[cut] = byte;
+                decode_all(&Bytes::from(flipped));
+                decode_all(&frame.slice(..cut));
+            }
         }
     }
 }

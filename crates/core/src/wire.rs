@@ -2,9 +2,13 @@
 //!
 //! Every RPC message and data-transfer frame in the system is encoded with
 //! this little-endian, length-prefixed format. A hand-written codec (rather
-//! than a serde backend) keeps the wire format explicit, versionable and
-//! allocation-conscious: payload bytes travel as [`bytes::Bytes`] and are
-//! never copied during encode.
+//! than a serde backend) keeps the wire format explicit and versionable.
+//! Payload bytes travel as [`bytes::Bytes`]: decode hands out slices of
+//! the received frame without copying, while encode copies each payload
+//! once into the frame being built.
+//!
+//! Messages declare their layout once with `wire_struct!` and
+//! `wire_enum!`, which generate the [`Wire`] impl from a field list.
 //!
 //! Framing: each message on a stream is `u32 length ‖ body`, where `length`
 //! is the body size in bytes. [`write_frame`]/[`read_frame`] implement this
@@ -39,9 +43,6 @@ impl WireWriter {
     pub fn put_bool(&mut self, v: bool) {
         self.buf.put_u8(v as u8);
     }
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
-    }
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
     }
@@ -57,18 +58,10 @@ impl WireWriter {
         self.buf.put_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed byte payload without copying when the
-    /// source is already a `Bytes`.
+    /// Appends a length-prefixed byte payload, copying it into the frame.
     pub fn put_bytes(&mut self, b: &Bytes) {
         self.put_u32(b.len() as u32);
         self.buf.put_slice(b);
-    }
-
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_u32(v.len() as u32);
-        for &x in v {
-            self.put_u32(x);
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -111,17 +104,18 @@ impl WireReader {
         Ok(self.buf.get_u8())
     }
 
+    /// The next byte, left unconsumed.
+    pub(crate) fn peek_u8(&self) -> DfsResult<u8> {
+        self.need(1)?;
+        Ok(self.buf[0])
+    }
+
     pub fn get_bool(&mut self) -> DfsResult<bool> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(DfsError::codec(format!("invalid bool byte {other}"))),
         }
-    }
-
-    pub fn get_u16(&mut self) -> DfsResult<u16> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
     }
 
     pub fn get_u32(&mut self) -> DfsResult<u32> {
@@ -155,12 +149,6 @@ impl WireReader {
         }
         self.need(len)?;
         Ok(self.buf.copy_to_bytes(len))
-    }
-
-    pub fn get_u32_vec(&mut self) -> DfsResult<Vec<u32>> {
-        let n = self.get_u32()? as usize;
-        self.need(n.saturating_mul(4))?;
-        (0..n).map(|_| self.get_u32()).collect()
     }
 
     pub fn remaining(&self) -> usize {
@@ -200,6 +188,162 @@ pub trait Wire: Sized {
         Ok(v)
     }
 }
+
+macro_rules! wire_primitive {
+    ($($t:ty => $put:ident, $get:ident;)*) => {$(
+        impl Wire for $t {
+            fn encode(&self, w: &mut WireWriter) {
+                w.$put(*self);
+            }
+            fn decode(r: &mut WireReader) -> DfsResult<Self> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+wire_primitive! {
+    bool => put_bool, get_bool;
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    f64 => put_f64, get_f64;
+}
+
+impl Wire for String {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_str(self);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        r.get_str()
+    }
+}
+
+impl Wire for Bytes {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_bytes(self);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        r.get_bytes()
+    }
+}
+
+/// Largest element count a decoded vector may claim.
+const MAX_VEC_LEN: usize = 1 << 20;
+
+/// `u32 count ‖ elements`.
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.len() as u32);
+        for item in self {
+            item.encode(w);
+        }
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        let n = r.get_u32()? as usize;
+        if n > MAX_VEC_LEN {
+            return Err(DfsError::codec(format!("vector length {n} unreasonable")));
+        }
+        (0..n).map(|_| T::decode(r)).collect()
+    }
+}
+
+/// `bool present ‖ value`.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        if r.get_bool()? {
+            T::decode(r).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        T::decode(r).map(Box::new)
+    }
+}
+
+/// Implements [`Wire`] for a struct by encoding the listed fields in
+/// order. The list must name every field: `self` is destructured and the
+/// struct rebuilt without `..`, so a field missing from the list fails to
+/// compile. `field = decoder` decodes that field with `decoder(r)`
+/// instead of its type's own `decode`, for checks beyond the layout.
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident $(= $dec:path)?),* $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                let $name { $($field),* } = self;
+                $($crate::wire::Wire::encode($field, w);)*
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> $crate::error::DfsResult<Self> {
+                Ok($name { $($field: $crate::wire::wire_field!(r, $field $(= $dec)?)),* })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum: an explicit `u8` tag per variant,
+/// then that variant's fields in order. Variants are written as `tag =>
+/// Unit`, `tag => Tuple(a, ..)` or `tag => Named { a, .. }`; named fields
+/// take `= decoder` as in `wire_struct!`. Encoding matches without a
+/// wildcard, so every variant must be listed; an unknown tag decodes to
+/// [`DfsError::Codec`].
+macro_rules! wire_enum {
+    ($name:ident {
+        $($tag:literal => $variant:ident
+            $(( $($tf:ident),* ))?
+            $({ $($nf:ident $(= $dec:path)?),* })?
+        ),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $($name::$variant $(( $($tf),* ))? $({ $($nf),* })? => {
+                        w.put_u8($tag);
+                        $($($crate::wire::Wire::encode($tf, w);)*)?
+                        $($($crate::wire::Wire::encode($nf, w);)*)?
+                    })*
+                }
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> $crate::error::DfsResult<Self> {
+                Ok(match r.get_u8()? {
+                    $($tag => $name::$variant
+                        $(( $($crate::wire::wire_field!(r, $tf)),* ))?
+                        $({ $($nf: $crate::wire::wire_field!(r, $nf $(= $dec)?)),* })?,
+                    )*
+                    x => {
+                        return Err($crate::error::DfsError::codec(format!(
+                            "unknown {} tag {x}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// Decodes one field for `wire_struct!` / `wire_enum!`.
+macro_rules! wire_field {
+    ($r:ident, $field:ident) => {
+        $crate::wire::Wire::decode($r)?
+    };
+    ($r:ident, $field:ident = $dec:path) => {
+        $dec($r)?
+    };
+}
+
+pub(crate) use {wire_enum, wire_field, wire_struct};
 
 /// Byte-channel abstraction so framing works over both fabric streams and
 /// in-process test buffers.
@@ -285,24 +429,20 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(65535);
         w.put_u32(123_456);
         w.put_u64(u64::MAX);
         w.put_f64(216.5);
         w.put_str("hello/путь");
         w.put_bytes(&Bytes::from_static(b"payload"));
-        w.put_u32_slice(&[1, 2, 3]);
 
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 65535);
         assert_eq!(r.get_u32().unwrap(), 123_456);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap(), 216.5);
         assert_eq!(r.get_str().unwrap(), "hello/путь");
         assert_eq!(r.get_bytes().unwrap(), Bytes::from_static(b"payload"));
-        assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
         r.expect_end().unwrap();
     }
 
@@ -365,22 +505,7 @@ mod tests {
         d: Bytes,
     }
 
-    impl Wire for Sample {
-        fn encode(&self, w: &mut WireWriter) {
-            w.put_u64(self.a);
-            w.put_str(&self.b);
-            w.put_u32_slice(&self.c);
-            w.put_bytes(&self.d);
-        }
-        fn decode(r: &mut WireReader) -> DfsResult<Self> {
-            Ok(Sample {
-                a: r.get_u64()?,
-                b: r.get_str()?,
-                c: r.get_u32_vec()?,
-                d: r.get_bytes()?,
-            })
-        }
-    }
+    wire_struct!(Sample { a, b, c, d });
 
     proptest! {
         #[test]

@@ -619,11 +619,7 @@ fn run_write_threads(
                 // reclaimed after the send, so the per-frame hot path
                 // allocates nothing once warm.
                 let mut statuses: Vec<AckStatus> = Vec::new();
-                loop {
-                    let (first_seq, first_last) = match ack_rx.recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    };
+                while let Ok((first_seq, first_last)) = ack_rx.recv() {
                     let mut seq = first_seq;
                     let mut last = first_last;
                     let mut batch = 1u64;
@@ -637,8 +633,7 @@ fn run_write_threads(
                             Err(_) => break,
                         }
                     }
-                    if mirror_read.is_some() {
-                        let mr = mirror_read.as_mut().expect("checked above");
+                    if let Some(mr) = mirror_read.as_mut() {
                         while mirror_covered.is_none_or(|c| c < seq) {
                             match recv_message::<PipelineAck>(mr) {
                                 Ok(ack) => {
