@@ -31,6 +31,7 @@ use smarth_core::obs::{Obs, ObsEvent, RecoveryCause, TraceCtx};
 use smarth_core::proto::{DataOp, DataReply, DatanodeInfo, Packet};
 use smarth_core::units::{ByteSize, SimDuration};
 use smarth_core::wire::{recv_message, send_message};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,13 +78,16 @@ pub struct DfsOutputStream {
 
     current: Option<ActiveBlock>,
     pending: Vec<PendingPipeline>,
-    /// Fully-acked SMARTH blocks whose namenode commit has not been
-    /// sent yet. Instead of paying a dedicated `commitBlock` round
+    /// Fully-acked blocks whose namenode commit has not been sent yet,
+    /// oldest first. Instead of paying a dedicated `commitBlock` round
     /// trip on the critical path between blocks, the head of this
-    /// queue rides the next `add_block` RPC as its `previous`
-    /// argument (mirroring HDFS `addBlock(previous)`); leftovers are
-    /// flushed at `close()`, the newest on `complete(last)`.
-    deferred_commits: Vec<ExtendedBlock>,
+    /// queue rides the next `add_block` RPC as its `previous` argument
+    /// (mirroring HDFS `addBlock(previous)`) and leaves the queue when
+    /// that `add_block` returns. Whatever is left at `close()` — at
+    /// most `max_concurrent_pipelines - 1` blocks plus the last one —
+    /// goes out as explicit `commitBlock`s, the newest riding
+    /// `complete(last)`.
+    deferred_commits: VecDeque<ExtendedBlock>,
     /// Datanodes discovered dead through recovery; excluded from all
     /// future placements of this stream.
     dead: Vec<DatanodeId>,
@@ -117,7 +121,7 @@ impl DfsOutputStream {
             next_pipeline: 1,
             current: None,
             pending: Vec::new(),
-            deferred_commits: Vec::new(),
+            deferred_commits: VecDeque::new(),
             dead: Vec::new(),
             packet_buf: Vec::new(),
             stats: StreamStats::default(),
@@ -141,7 +145,7 @@ impl DfsOutputStream {
     /// Queues a fully-acked block for a piggybacked commit (see
     /// `deferred_commits`).
     fn defer_commit(&mut self, block: ExtendedBlock) {
-        self.deferred_commits.push(block);
+        self.deferred_commits.push_back(block);
     }
 
     /// Marks the head deferred commit as applied by the namenode.
@@ -150,8 +154,7 @@ impl DfsOutputStream {
     /// `PlacementFailed` — means the commit landed. Re-sending after
     /// other errors is safe: `update_block` is idempotent.
     fn deferred_commit_landed(&mut self) {
-        if !self.deferred_commits.is_empty() {
-            self.deferred_commits.remove(0);
+        if self.deferred_commits.pop_front().is_some() {
             self.stats.blocks_committed += 1;
             self.obs().metrics().blocks_committed.inc();
         }
@@ -255,7 +258,7 @@ impl DfsOutputStream {
         // but the newest go as explicit commits, the newest rides the
         // `complete` RPC itself (HDFS `complete(last)` semantics).
         let mut deferred = std::mem::take(&mut self.deferred_commits);
-        let last = deferred.pop();
+        let last = deferred.pop_back();
         for block in deferred {
             self.ctx.rpc.commit_block(self.ctx.id, self.file_id, block)?;
             self.stats.blocks_committed += 1;
@@ -295,7 +298,7 @@ impl DfsOutputStream {
             // rather than spending a separate RPC round trip. The
             // recovery rebuild path below keeps `previous = None`: it
             // must not couple a replay to unrelated commit state.
-            let previous = self.deferred_commits.first().copied();
+            let previous = self.deferred_commits.front().copied();
             match self
                 .ctx
                 .rpc
@@ -315,7 +318,10 @@ impl DfsOutputStream {
                     let ev = self.wait_event()?;
                     self.process_event(ev)?;
                 }
-                Ok(lb) => break lb,
+                Ok(lb) => {
+                    self.deferred_commit_landed();
+                    break lb;
+                }
                 Err(DfsError::PlacementFailed { .. }) if !self.pending.is_empty() => {
                     // Every datanode is busy in one of our pipelines —
                     // the §IV-C limit. Wait for one to drain. (The
@@ -467,60 +473,39 @@ impl DfsOutputStream {
 
     /// Called once the last packet of the current block has been sent.
     fn finish_current_block(&mut self) -> DfsResult<()> {
-        match self.mode {
-            WriteMode::Hdfs => {
-                // Stop-and-wait: block until every replica acked.
-                let mut timeouts = 0u32;
-                loop {
-                    if self.current.as_ref().is_some_and(|c| c.fully_acked) {
-                        break;
-                    }
-                    self.pump_event(&mut timeouts)?;
-                }
-                let done = self.current.take().expect("current");
-                let block = ExtendedBlock::new(
-                    done.pipeline.block.id,
-                    done.pipeline.block.gen,
-                    done.offset,
-                );
-                self.ctx.rpc.commit_block(self.ctx.id, self.file_id, block)?;
-                self.stats.blocks_committed += 1;
-                self.obs().metrics().blocks_committed.inc();
-                self.close_pipeline(done.pipeline, true);
-            }
-            WriteMode::Smarth => {
-                // §III-A: wait only for the FNFA, then let the pipeline
-                // drain in the background.
-                let mut timeouts = 0u32;
-                loop {
-                    if self.current.as_ref().is_some_and(|c| c.fnfa) {
-                        break;
-                    }
-                    self.pump_event(&mut timeouts)?;
-                }
-                let done = self.current.take().expect("current");
-                if done.fully_acked {
-                    // On a fast cluster the full-pipeline ack can arrive
-                    // while the block is still current (it may even beat
-                    // the FNFA frame, whose write races the final ack).
-                    // Its completion event is already consumed, so
-                    // queue its commit here instead of parking it in
-                    // `pending` where no further event would ever
-                    // release it.
-                    let block = ExtendedBlock::new(
-                        done.pipeline.block.id,
-                        done.pipeline.block.gen,
-                        done.offset,
-                    );
-                    self.defer_commit(block);
-                    self.close_pipeline(done.pipeline, true);
-                } else {
-                    self.pending.push(PendingPipeline {
-                        len: done.offset,
-                        pipeline: done.pipeline,
-                    });
-                }
-            }
+        // HDFS stop-and-wait (§II) blocks until every replica acked;
+        // SMARTH (§III-A) waits only for the FNFA, then lets the
+        // pipeline drain in the background.
+        let mode = self.mode;
+        let mut timeouts = 0u32;
+        while !self.current.as_ref().is_some_and(|c| match mode {
+            WriteMode::Hdfs => c.fully_acked,
+            WriteMode::Smarth => c.fnfa,
+        }) {
+            self.pump_event(&mut timeouts)?;
+        }
+        let done = self.current.take().expect("current");
+        if done.fully_acked {
+            // Either mode's commit rides the next `addBlock` (or, for
+            // the last block, `complete`), so blocks are one namenode
+            // round trip apart. In SMARTH mode on a fast cluster the
+            // full-pipeline ack can arrive while the block is still
+            // current (it may even beat the FNFA frame, whose write
+            // races the final ack). Its completion event is already
+            // consumed, so queue its commit here instead of parking it
+            // in `pending` where no further event would ever release it.
+            let block = ExtendedBlock::new(
+                done.pipeline.block.id,
+                done.pipeline.block.gen,
+                done.offset,
+            );
+            self.defer_commit(block);
+            self.close_pipeline(done.pipeline, true);
+        } else {
+            self.pending.push(PendingPipeline {
+                len: done.offset,
+                pipeline: done.pipeline,
+            });
         }
         Ok(())
     }

@@ -45,6 +45,15 @@ impl TokenBucket {
     /// Creates a bucket for the given bandwidth. The burst capacity is
     /// ~20 ms of line rate, floored at 64 KiB so single packets never
     /// exceed the burst.
+    ///
+    /// The burst is large next to a test-scale block: at 100 Mbps it is
+    /// 250,000 B, about 95% of a 256 KiB block ([`Self::set_rate`] sizes
+    /// it by the same rule). A datanode whose ingress sat idle therefore
+    /// admits almost a whole block at the sender's rate, and only the
+    /// tail pays the shaped rate. This is why a per-block first-hop rate
+    /// (opened → FNFA) reads several times the shaped NIC rate on a
+    /// 100 Mbps cluster; with the burst cut to the 64 KiB floor the same
+    /// measurement reads about 125 Mbps.
     pub fn new(bandwidth: Bandwidth) -> Self {
         let rate = bandwidth.as_bytes_per_sec();
         let capacity = if rate.is_finite() {
