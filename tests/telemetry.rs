@@ -14,8 +14,17 @@ use smarth::core::units::{Bandwidth, ByteSize};
 use smarth::core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
 use smarth::sim::scenario::two_rack;
 use smarth::sim::simulate_upload_with_telemetry;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Runs this file's tests one at a time. A capture samples wall-clock
+/// windows of 10 ms, so a concurrent upload or CPU-bound simulation in
+/// the same process can starve the writer for a whole window and show
+/// up as a spurious zero-throughput sample.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const UPLOAD_BYTES: usize = 2_500_000; // 10 blocks at the 256 KiB test scale
 const NIC_MBPS: f64 = 40.0;
@@ -66,6 +75,7 @@ fn sampled_upload(seed: u64, nic_mbps: f64) -> (TelemetrySeries, Arc<Metrics>) {
 
 #[test]
 fn counter_rates_reconstruct_a_throttled_writers_throughput() {
+    let _serial = serial();
     let (series, metrics) = sampled_upload(31, NIC_MBPS);
     let bw = series.get("bytes_written").expect("bytes_written series");
     assert!(
@@ -110,6 +120,7 @@ fn counter_rates_reconstruct_a_throttled_writers_throughput() {
 
 #[test]
 fn starved_slo_fails_with_the_violating_windows_identified() {
+    let _serial = serial();
     let (series, _metrics) = sampled_upload(32, NIC_MBPS);
 
     // A sustained-throughput floor far above the shaped NIC: 10 Gbit/s
@@ -155,6 +166,7 @@ fn starved_slo_fails_with_the_violating_windows_identified() {
 
 #[test]
 fn emulator_and_des_samplers_produce_structurally_comparable_series() {
+    let _serial = serial();
     let (emu, _metrics) = sampled_upload(33, NIC_MBPS);
 
     let obs = Obs::new(RingBufferSink::new(65_536));
