@@ -204,32 +204,6 @@ impl DfsClient {
         })
     }
 
-    /// Streams `total_bytes` of generated data — same as [`Self::put`]
-    /// without materializing the payload (for large emulated uploads).
-    pub fn put_generated(
-        &self,
-        path: &str,
-        total_bytes: u64,
-        mode: WriteMode,
-    ) -> DfsResult<UploadReport> {
-        let start = Instant::now();
-        let mut stream = self.create(path, mode)?;
-        let chunk = vec![0xA5u8; 256 * 1024];
-        let mut remaining = total_bytes;
-        while remaining > 0 {
-            let n = remaining.min(chunk.len() as u64) as usize;
-            stream.write(&chunk[..n])?;
-            remaining -= n as u64;
-        }
-        let stats = stream.close()?;
-        Ok(UploadReport {
-            path: path.to_string(),
-            bytes: total_bytes,
-            elapsed: start.elapsed(),
-            stats,
-        })
-    }
-
     /// Opens a file for reading: block layout and speed-ordered replica
     /// sets resolved once, striped/readahead reads over them.
     pub fn open(&self, path: &str) -> DfsResult<DfsInputStream> {

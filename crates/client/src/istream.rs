@@ -113,10 +113,6 @@ impl DfsInputStream {
         self.info.len == 0
     }
 
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The block layout resolved at open time, replica sets in namenode
     /// speed order (diagnostics and fault-targeting in tests).
     pub fn block_layout(&self) -> &[LocatedBlock] {

@@ -62,6 +62,7 @@ pub enum RecoveryCause {
 }
 
 impl RecoveryCause {
+    /// Every cause, in declaration order, so `cause as usize` indexes it.
     pub const ALL: [RecoveryCause; 5] = [
         RecoveryCause::AckTimeout,
         RecoveryCause::DatanodeError,
@@ -77,16 +78,6 @@ impl RecoveryCause {
             RecoveryCause::ConnectionLost => "connection_lost",
             RecoveryCause::NamenodeError => "namenode_error",
             RecoveryCause::NestedFailure => "nested_failure",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            RecoveryCause::AckTimeout => 0,
-            RecoveryCause::DatanodeError => 1,
-            RecoveryCause::ConnectionLost => 2,
-            RecoveryCause::NamenodeError => 3,
-            RecoveryCause::NestedFailure => 4,
         }
     }
 }
@@ -998,17 +989,25 @@ impl Histogram {
     }
 
     fn to_json(&self) -> Value {
-        ObjectBuilder::new()
+        let mut obj = ObjectBuilder::new()
             .field("count", self.count())
             .field("sum", self.sum())
-            .field("mean", self.mean())
-            .field("p50", self.quantile(0.5))
-            .field("p95", self.quantile(0.95))
-            .field("p99", self.quantile(0.99))
-            .field("max", self.max())
-            .build()
+            .field("mean", self.mean());
+        for (key, _, q) in QUANTILES {
+            obj = obj.field(key, self.quantile(q));
+        }
+        obj.field("max", self.max()).build()
     }
 }
+
+/// The quantiles every histogram reports, as `(key, label, q)`: `key`
+/// names them in `snapshot()` and in telemetry column names,
+/// `label` in the Prometheus summary.
+const QUANTILES: [(&str, &str, f64); 3] = [
+    ("p50", "0.5", 0.50),
+    ("p95", "0.95", 0.95),
+    ("p99", "0.99", 0.99),
+];
 
 fn pow2_upper_bound(bucket: usize) -> u64 {
     if bucket + 1 >= 64 {
@@ -1018,60 +1017,134 @@ fn pow2_upper_bound(bucket: usize) -> u64 {
     }
 }
 
-/// The write path's well-known metrics. One instance is shared by every
-/// component wired to the same [`Obs`].
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Payload bytes acknowledged end-to-end.
-    pub bytes_written: Counter,
-    /// Packets handed to pipelines.
-    pub packets_sent: Counter,
-    /// Packets sent but not yet fully acked, across all pipelines.
-    pub packets_in_flight: Gauge,
-    /// Currently open write pipelines; `high_water()` is the paper's
-    /// concurrency claim (§IV-C cap).
-    pub concurrent_pipelines: Gauge,
-    /// Blocks committed by the namenode.
-    pub blocks_committed: Counter,
-    /// FNFA receipt → next block allocation latency, µs (SMARTH's
-    /// pipelining benefit is precisely this gap staying small).
-    pub fnfa_to_allocation_us: Histogram,
-    /// FNFA events received by clients.
-    pub fnfa_received: Counter,
-    /// Recoveries by cause, indexed per `RecoveryCause::index`.
-    recoveries: [Counter; 5],
-    /// Exploration swaps performed by Algorithm 2.
-    pub exploration_swaps: Counter,
-    /// Placement decisions taken with speed records available.
-    pub speed_aware_placements: Counter,
-    /// Speed records ingested by the namenode.
-    pub speed_records_ingested: Counter,
-    /// Bytes staged between a datanode's receive and flush stages — the
-    /// §IV-C buffer that absorbs disk/network mismatch. Bounded per block
-    /// write by `DfsConfig::datanode_client_buffer`.
-    pub datanode_buffered_bytes: Gauge,
-    /// Bytes queued between a datanode's receive stage and its mirror
-    /// forwarder (downstream replication backlog).
-    pub datanode_forward_bytes: Gauge,
-    /// Packets currently in datanode staging queues (flush-stage depth).
-    pub datanode_staging_packets: Gauge,
-    /// Payload bytes read back and verified by clients.
-    pub bytes_read: Counter,
-    /// Read stripes currently being fetched, across all client reads;
-    /// `high_water()` is the effective read parallelism achieved.
-    pub client_read_inflight_stripes: Gauge,
-    /// Corrupt/truncated replicas reported to the namenode by readers.
-    pub bad_replicas_reported: Counter,
-    /// Re-replications the namenode scheduled after bad-replica reports.
-    pub re_replications_scheduled: Counter,
-    /// RPC handler panics caught and converted into typed error
-    /// responses (namenode conn threads + datanode xceivers). Any
-    /// non-zero value indicates a server-side bug; CI soaks assert 0.
-    pub handler_panics: Counter,
-    /// Datanode→namenode heartbeats that failed to deliver (namenode
-    /// unreachable or erroring). Lets `top` show a node that is alive
-    /// but cut off from the namenode.
-    pub heartbeat_failures: Counter,
+/// A borrowed registry entry, by kind. Every view of the registry
+/// (`snapshot()`, telemetry columns, the Prometheus scrape) is rendered
+/// from these, so a metric's kind decides how it appears everywhere.
+enum MetricRef<'a> {
+    Counter(&'a Counter),
+    /// A level, always shown beside its high-water mark.
+    Gauge(&'a Gauge),
+    Histogram(&'a Histogram),
+    /// One counter per [`RecoveryCause`], indexed by `cause as usize`.
+    PerCause(&'a [Counter]),
+}
+
+fn per_cause_total(counters: &[Counter]) -> u64 {
+    counters.iter().map(Counter::get).sum()
+}
+
+/// Maps a metric field's type to its kind.
+trait AsMetric {
+    fn as_metric(&self) -> MetricRef<'_>;
+}
+
+impl AsMetric for Counter {
+    fn as_metric(&self) -> MetricRef<'_> {
+        MetricRef::Counter(self)
+    }
+}
+
+impl AsMetric for Gauge {
+    fn as_metric(&self) -> MetricRef<'_> {
+        MetricRef::Gauge(self)
+    }
+}
+
+impl AsMetric for Histogram {
+    fn as_metric(&self) -> MetricRef<'_> {
+        MetricRef::Histogram(self)
+    }
+}
+
+impl AsMetric for [Counter; RecoveryCause::ALL.len()] {
+    fn as_metric(&self) -> MetricRef<'_> {
+        MetricRef::PerCause(self)
+    }
+}
+
+/// Declares the metrics registry as a plain struct and generates
+/// `entries()`, the list every view of the registry is rendered from.
+/// Each field's name is the metric's name, its type is its kind and its
+/// doc comment is its documentation; entry order is the order of the
+/// telemetry columns and the Prometheus scrape.
+macro_rules! metrics {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[doc = $doc:literal])* $vis:vis $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $name {
+            $($(#[doc = $doc])* $vis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Every metric with its name, in table order.
+            fn entries(&self) -> [(&'static str, MetricRef<'_>); [$(stringify!($field)),*].len()] {
+                [$((stringify!($field), self.$field.as_metric())),*]
+            }
+        }
+    };
+}
+
+metrics! {
+    /// The write path's well-known metrics. One instance is shared by
+    /// every component wired to the same [`Obs`]. This table is the one
+    /// place a metric is declared.
+    pub struct Metrics {
+        /// Payload bytes acknowledged end-to-end.
+        pub bytes_written: Counter,
+        /// Payload bytes read back and verified by clients.
+        pub bytes_read: Counter,
+        /// Packets handed to pipelines.
+        pub packets_sent: Counter,
+        /// Blocks committed by the namenode.
+        pub blocks_committed: Counter,
+        /// FNFA events received by clients.
+        pub fnfa_received: Counter,
+        /// Recoveries by cause.
+        recoveries: [Counter; RecoveryCause::ALL.len()],
+        /// Exploration swaps performed by Algorithm 2.
+        pub exploration_swaps: Counter,
+        /// Placement decisions taken with speed records available.
+        pub speed_aware_placements: Counter,
+        /// Speed records ingested by the namenode.
+        pub speed_records_ingested: Counter,
+        /// Corrupt/truncated replicas reported to the namenode by readers.
+        pub bad_replicas_reported: Counter,
+        /// Re-replications the namenode scheduled after bad-replica reports.
+        pub re_replications_scheduled: Counter,
+        /// RPC handler panics caught and converted into typed error
+        /// responses (namenode conn threads + datanode xceivers). Any
+        /// non-zero value indicates a server-side bug; CI soaks assert 0.
+        pub handler_panics: Counter,
+        /// Datanode→namenode heartbeats that failed to deliver (namenode
+        /// unreachable or erroring). Lets `top` show a node that is alive
+        /// but cut off from the namenode.
+        pub heartbeat_failures: Counter,
+        /// Packets sent but not yet fully acked, across all pipelines.
+        pub packets_in_flight: Gauge,
+        /// Currently open write pipelines; `high_water()` is the paper's
+        /// concurrency claim (§IV-C cap).
+        pub concurrent_pipelines: Gauge,
+        /// Bytes staged between a datanode's receive and flush stages — the
+        /// §IV-C buffer that absorbs disk/network mismatch. Bounded per block
+        /// write by `DfsConfig::datanode_client_buffer`.
+        pub datanode_buffered_bytes: Gauge,
+        /// Bytes queued between a datanode's receive stage and its mirror
+        /// forwarder (downstream replication backlog).
+        pub datanode_forward_bytes: Gauge,
+        /// Packets currently in datanode staging queues (flush-stage depth).
+        pub datanode_staging_packets: Gauge,
+        /// Read stripes currently being fetched, across all client reads;
+        /// `high_water()` is the effective read parallelism achieved.
+        pub client_read_inflight_stripes: Gauge,
+        /// FNFA receipt → next block allocation latency, µs (SMARTH's
+        /// pipelining benefit is precisely this gap staying small).
+        pub fnfa_to_allocation_us: Histogram,
+    }
 }
 
 impl Metrics {
@@ -1080,74 +1153,36 @@ impl Metrics {
     }
 
     pub fn record_recovery(&self, cause: RecoveryCause) {
-        self.recoveries[cause.index()].inc();
+        self.recoveries[cause as usize].inc();
     }
 
     pub fn recoveries(&self, cause: RecoveryCause) -> u64 {
-        self.recoveries[cause.index()].get()
+        self.recoveries[cause as usize].get()
     }
 
     pub fn recoveries_total(&self) -> u64 {
-        self.recoveries.iter().map(Counter::get).sum()
+        per_cause_total(&self.recoveries)
     }
 
     /// Point-in-time JSON snapshot of every metric.
     pub fn snapshot(&self) -> Value {
-        let recoveries = RecoveryCause::ALL
-            .iter()
-            .fold(ObjectBuilder::new(), |obj, c| {
-                obj.field(c.name(), self.recoveries(*c))
+        self.entries()
+            .into_iter()
+            .fold(ObjectBuilder::new(), |obj, (name, metric)| match metric {
+                MetricRef::Counter(c) => obj.field(name, c.get()),
+                MetricRef::Gauge(g) => obj
+                    .field(name, g.get())
+                    .field(&format!("{name}_high_water"), g.high_water()),
+                MetricRef::Histogram(h) => obj.field(name, h.to_json()),
+                MetricRef::PerCause(counters) => {
+                    let by_cause = RecoveryCause::ALL
+                        .iter()
+                        .zip(counters)
+                        .fold(ObjectBuilder::new(), |o, (cause, c)| o.field(cause.name(), c.get()))
+                        .field("total", per_cause_total(counters));
+                    obj.field(name, by_cause.build())
+                }
             })
-            .field("total", self.recoveries_total())
-            .build();
-        ObjectBuilder::new()
-            .field("bytes_written", self.bytes_written.get())
-            .field("packets_sent", self.packets_sent.get())
-            .field("packets_in_flight", self.packets_in_flight.get())
-            .field("packets_in_flight_high_water", self.packets_in_flight.high_water())
-            .field("concurrent_pipelines", self.concurrent_pipelines.get())
-            .field(
-                "concurrent_pipelines_high_water",
-                self.concurrent_pipelines.high_water(),
-            )
-            .field("blocks_committed", self.blocks_committed.get())
-            .field("fnfa_received", self.fnfa_received.get())
-            .field("fnfa_to_allocation_us", self.fnfa_to_allocation_us.to_json())
-            .field("recoveries", recoveries)
-            .field("exploration_swaps", self.exploration_swaps.get())
-            .field("speed_aware_placements", self.speed_aware_placements.get())
-            .field("speed_records_ingested", self.speed_records_ingested.get())
-            .field("datanode_buffered_bytes", self.datanode_buffered_bytes.get())
-            .field(
-                "datanode_buffered_bytes_high_water",
-                self.datanode_buffered_bytes.high_water(),
-            )
-            .field("datanode_forward_bytes", self.datanode_forward_bytes.get())
-            .field(
-                "datanode_forward_bytes_high_water",
-                self.datanode_forward_bytes.high_water(),
-            )
-            .field("datanode_staging_packets", self.datanode_staging_packets.get())
-            .field(
-                "datanode_staging_packets_high_water",
-                self.datanode_staging_packets.high_water(),
-            )
-            .field("bytes_read", self.bytes_read.get())
-            .field(
-                "client_read_inflight_stripes",
-                self.client_read_inflight_stripes.get(),
-            )
-            .field(
-                "client_read_inflight_stripes_high_water",
-                self.client_read_inflight_stripes.high_water(),
-            )
-            .field("bad_replicas_reported", self.bad_replicas_reported.get())
-            .field(
-                "re_replications_scheduled",
-                self.re_replications_scheduled.get(),
-            )
-            .field("handler_panics", self.handler_panics.get())
-            .field("heartbeat_failures", self.heartbeat_failures.get())
             .build()
     }
 }
@@ -1177,14 +1212,6 @@ impl Obs {
         Obs {
             sink,
             metrics: Metrics::new(),
-            seq: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    pub fn with_metrics(sink: Arc<dyn EventSink>, metrics: Arc<Metrics>) -> Self {
-        Obs {
-            sink,
-            metrics,
             seq: Arc::new(AtomicU64::new(0)),
         }
     }

@@ -14,14 +14,26 @@
 //! * the **flusher** drains the staging queue: pays the disk token
 //!   bucket, appends to the [`BlockStore`], finalizes on the last packet
 //!   and signals the responder. The staging queue is sized from
-//!   `DfsConfig::datanode_client_buffer` (§IV-C) and tracked by the
-//!   `datanode_buffered_bytes` / `datanode_staging_packets` gauges, so
-//!   a slow disk backpressures the socket only once the buffer is full;
+//!   `DfsConfig::datanode_client_buffer` (§IV-C), so a slow disk
+//!   backpressures the socket only once the buffer is full;
 //! * the **forwarder** streams packets to the next datanode through a
 //!   bounded queue (one whole block on the *first* node, a few packets
-//!   elsewhere), tracked by the `datanode_forward_bytes` gauge;
+//!   elsewhere);
 //! * the **responder** merges the downstream ack stream with this node's
 //!   own status and sends the combined ack upstream.
+//!
+//! Buffer accounting: the receiver puts each packet in a queue together
+//! with a `Charge`, a guard that adds the packet's bytes (and, for the
+//! staging queue, one packet) to the node's own levels and to the
+//! registry's `datanode_forward_bytes`, `datanode_buffered_bytes` and
+//! `datanode_staging_packets` gauges in one step, and subtracts them
+//! again when dropped. The guard leaves with the packet however the
+//! packet leaves: flushed, forwarded, drained after the mirror or the
+//! disk failed, returned by a send to a dead stage, or unwound by a
+//! panic. The node's own levels are what heartbeats piggyback and
+//! [`DataNode::local_telemetry`] reads. The registry's gauges sum every
+//! datanode sharing one `Obs`, and keep the high-water of that sum,
+//! which per-node levels cannot rebuild.
 //!
 //! Flush-stage errors (disk full, store failure mid-block) surface as
 //! error acks from the flusher, so clients classify them exactly like
@@ -39,7 +51,7 @@ use smarth_core::config::{DfsConfig, VerifyChecksumsAt, WriteMode};
 use smarth_core::error::{panic_message, DfsError, DfsResult};
 use smarth_core::ids::{BlockId, DatanodeId};
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
-use smarth_core::obs::{Obs, ObsEvent};
+use smarth_core::obs::{Gauge, Obs, ObsEvent};
 use smarth_core::proto::{
     AckKind, AckStatus, DataOp, DataReply, DatanodeRequest, DatanodeResponse, DatanodeTelemetry,
     Packet, PipelineAck, WriteBlockHeader,
@@ -47,7 +59,7 @@ use smarth_core::proto::{
 use smarth_core::wire::{recv_message, send_message};
 use smarth_fabric::{Fabric, FabricStream, ReadHalf, TokenBucket, WriteHalf};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -94,36 +106,79 @@ impl NnClient {
     }
 }
 
-/// This node's own live buffer levels. The corresponding gauges in
-/// `Metrics` are shared across every datanode wired to one `Obs` (a
-/// `MiniCluster` aggregates them), so heartbeat piggybacks and the
-/// per-node telemetry scrape read these node-local atomics instead.
+/// This node's own buffer levels: what heartbeats piggyback and the
+/// per-node telemetry scrape reads. The registry's gauges of the same
+/// names sum every datanode wired to one `Obs`; [`Charge`] moves both.
 #[derive(Default)]
-struct DnLocalStats {
-    staging_packets: AtomicU64,
-    buffered_bytes: AtomicU64,
-    forward_bytes: AtomicU64,
+struct Levels {
+    staging_packets: Gauge,
+    buffered_bytes: Gauge,
+    forward_bytes: Gauge,
 }
 
-impl DnLocalStats {
-    fn add(cell: &AtomicU64, n: u64) {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sub(cell: &AtomicU64, n: u64) {
-        // Saturating, like `Gauge::sub`: a spurious extra dec must not
-        // wrap the piggybacked level to u64::MAX.
-        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(n))
-        });
-    }
-
+impl Levels {
     fn snapshot(&self) -> DatanodeTelemetry {
         DatanodeTelemetry {
-            staging_packets: self.staging_packets.load(Ordering::Relaxed),
-            buffered_bytes: self.buffered_bytes.load(Ordering::Relaxed),
-            forward_bytes: self.forward_bytes.load(Ordering::Relaxed),
+            staging_packets: self.staging_packets.get(),
+            buffered_bytes: self.buffered_bytes.get(),
+            forward_bytes: self.forward_bytes.get(),
         }
+    }
+}
+
+/// The queue a packet waits in between pipeline stages.
+#[derive(Clone, Copy)]
+enum Queue {
+    /// Receiver → forwarder (downstream replication backlog).
+    Forward,
+    /// Receiver → flusher (the §IV-C staging buffer).
+    Staging,
+}
+
+/// One packet's bytes charged to a queue, on this node's [`Levels`] and
+/// on the shared registry's gauges at once. It travels with the packet
+/// through the queue and releases both when dropped, so every way a
+/// packet leaves — flushed, forwarded, drained after a failure, dropped
+/// by a failed send or by a panicking stage — balances the books.
+struct Charge {
+    dn: Arc<DnInner>,
+    queue: Queue,
+    bytes: u64,
+}
+
+impl Charge {
+    fn new(dn: &Arc<DnInner>, queue: Queue, bytes: u64) -> Self {
+        let charge = Charge {
+            dn: Arc::clone(dn),
+            queue,
+            bytes,
+        };
+        charge.apply(|g, n| {
+            g.add(n);
+        });
+        charge
+    }
+
+    /// Applies `f(gauge, amount)` to every gauge this charge moves.
+    fn apply(&self, f: impl Fn(&Gauge, u64)) {
+        let (own, shared) = (&self.dn.levels, self.dn.obs.metrics());
+        let pairs: &[(&Gauge, &Gauge, u64)] = match self.queue {
+            Queue::Forward => &[(&own.forward_bytes, &shared.datanode_forward_bytes, self.bytes)],
+            Queue::Staging => &[
+                (&own.buffered_bytes, &shared.datanode_buffered_bytes, self.bytes),
+                (&own.staging_packets, &shared.datanode_staging_packets, 1),
+            ],
+        };
+        for &(own, shared, n) in pairs {
+            f(own, n);
+            f(shared, n);
+        }
+    }
+}
+
+impl Drop for Charge {
+    fn drop(&mut self) {
+        self.apply(Gauge::sub);
     }
 }
 
@@ -144,7 +199,7 @@ struct DnInner {
     /// that the client-side verify must catch.
     read_corruption: Mutex<HashSet<BlockId>>,
     obs: Obs,
-    local: DnLocalStats,
+    levels: Levels,
     /// Ticked by the heartbeat loop; serves `DataOp::GetTelemetry`.
     sampler: Arc<Sampler>,
 }
@@ -227,7 +282,7 @@ impl DataNode {
             active_transfers: AtomicU32::new(0),
             read_corruption: Mutex::new(HashSet::new()),
             obs,
-            local: DnLocalStats::default(),
+            levels: Levels::default(),
             sampler,
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -291,7 +346,7 @@ impl DataNode {
                                 id: inner.id,
                                 used: inner.store.used_bytes(),
                                 active_transfers: inner.active_transfers.load(Ordering::Relaxed),
-                                telemetry: inner.local.snapshot(),
+                                telemetry: inner.levels.snapshot(),
                             };
                             if inner.nn.call(&req).is_err() {
                                 failure_streak = failure_streak.saturating_add(1);
@@ -339,7 +394,7 @@ impl DataNode {
 
     /// This node's own live buffer levels (what heartbeats piggyback).
     pub fn local_telemetry(&self) -> DatanodeTelemetry {
-        self.inner.local.snapshot()
+        self.inner.levels.snapshot()
     }
 
     /// Fault injection for read-path tests: every packet this node
@@ -348,11 +403,6 @@ impl DataNode {
     /// client-side verify — bit rot the reader must catch and report.
     pub fn inject_read_corruption(&self, block: BlockId) {
         self.inner.read_corruption.lock().insert(block);
-    }
-
-    /// Lifts [`Self::inject_read_corruption`] for `block`.
-    pub fn heal_read_corruption(&self, block: BlockId) {
-        self.inner.read_corruption.lock().remove(&block);
     }
 
     /// Stops server threads. Blocked I/O is released by killing the host
@@ -512,8 +562,8 @@ fn run_write_threads(
         .max(packet)
         .div_ceil(packet) as usize;
 
-    let (fwd_tx, fwd_rx): (Sender<Packet>, Receiver<Packet>) = bounded(queue_packets);
-    let (flush_tx, flush_rx): (Sender<Packet>, Receiver<Packet>) = bounded(staging_packets);
+    let (fwd_tx, fwd_rx) = bounded::<(Packet, Charge)>(queue_packets);
+    let (flush_tx, flush_rx) = bounded::<(Packet, Charge)>(staging_packets);
     let (ack_tx, ack_rx): (Sender<AckSignal>, Receiver<AckSignal>) = unbounded();
 
     let (mirror_read, mirror_write) = match mirror {
@@ -523,23 +573,16 @@ fn run_write_threads(
 
     // Forwarder: pumps packets to the next datanode.
     let forwarder = mirror_write.map(|mut m_write| {
-        let dn = Arc::clone(dn);
         std::thread::Builder::new()
             .name("dn-forwarder".into())
             .spawn(move || {
-                for pkt in fwd_rx.iter() {
-                    let n = pkt.payload.len() as u64;
+                for (pkt, charge) in fwd_rx.iter() {
                     let sent = send_message(&mut m_write, &pkt);
-                    dn.obs.metrics().datanode_forward_bytes.sub(n);
-                    DnLocalStats::sub(&dn.local.forward_bytes, n);
+                    drop(charge);
                     if sent.is_err() {
                         // Drain so the receiver never blocks on a dead
                         // mirror; the responder reports the error.
-                        for pkt in fwd_rx.iter() {
-                            let n = pkt.payload.len() as u64;
-                            dn.obs.metrics().datanode_forward_bytes.sub(n);
-                            DnLocalStats::sub(&dn.local.forward_bytes, n);
-                        }
+                        fwd_rx.iter().for_each(drop);
                         break;
                     }
                 }
@@ -560,16 +603,11 @@ fn run_write_threads(
         std::thread::Builder::new()
             .name("dn-flusher".into())
             .spawn(move || -> DfsResult<()> {
-                let metrics_drop = |pkt: &Packet| {
-                    let m = dn.obs.metrics();
-                    m.datanode_buffered_bytes.sub(pkt.payload.len() as u64);
-                    m.datanode_staging_packets.sub(1);
-                    DnLocalStats::sub(&dn.local.buffered_bytes, pkt.payload.len() as u64);
-                    DnLocalStats::sub(&dn.local.staging_packets, 1);
-                };
-                for pkt in flush_rx.iter() {
+                for (pkt, charge) in flush_rx.iter() {
                     let flushed = flush_packet(&dn, &header, &up_write, &pkt);
-                    metrics_drop(&pkt);
+                    // Released before the ack signal, so a client that
+                    // has its final ack sees this node's buffer empty.
+                    drop(charge);
                     if let Err(e) = flushed {
                         let _ = send_ack(
                             &up_write,
@@ -581,9 +619,7 @@ fn run_write_threads(
                             },
                         );
                         // Unblock the receiver: drain whatever is staged.
-                        for pkt in flush_rx.iter() {
-                            metrics_drop(&pkt);
-                        }
+                        flush_rx.iter().for_each(drop);
                         return Err(e);
                     }
                     let last = pkt.last_in_block;
@@ -707,32 +743,17 @@ fn run_write_threads(
                 // replication is never gated on this node's disk. A
                 // closed forwarder means the mirror died; the responder
                 // reports it via error acks, we just stop forwarding.
-                let n = pkt.payload.len() as u64;
-                dn.obs.metrics().datanode_forward_bytes.add(n);
-                DnLocalStats::add(&dn.local.forward_bytes, n);
-                if fwd_tx.send(pkt.clone()).is_err() {
-                    dn.obs.metrics().datanode_forward_bytes.sub(n);
-                    DnLocalStats::sub(&dn.local.forward_bytes, n);
-                }
+                let charge = Charge::new(dn, Queue::Forward, pkt.payload.len() as u64);
+                let _ = fwd_tx.send((pkt.clone(), charge));
             }
-            // Stage for the flusher. Accounting happens before the send:
-            // the bounded queue blocks here once the §IV-C buffer is
-            // full, and that backlog is what backpressures the socket.
+            // Stage for the flusher. The charge is taken before the
+            // send: the bounded queue blocks here once the §IV-C buffer
+            // is full, and that backlog is what backpressures the socket.
             let last = pkt.last_in_block;
-            let n = pkt.payload.len() as u64;
-            let m = dn.obs.metrics();
-            m.datanode_buffered_bytes.add(n);
-            m.datanode_staging_packets.add(1);
-            DnLocalStats::add(&dn.local.buffered_bytes, n);
-            DnLocalStats::add(&dn.local.staging_packets, 1);
-            if flush_tx.send(pkt).is_err() {
+            let charge = Charge::new(dn, Queue::Staging, pkt.payload.len() as u64);
+            if flush_tx.send((pkt, charge)).is_err() {
                 // Flusher already failed and reported upstream; its
                 // error is picked up at join below.
-                let m = dn.obs.metrics();
-                m.datanode_buffered_bytes.sub(n);
-                m.datanode_staging_packets.sub(1);
-                DnLocalStats::sub(&dn.local.buffered_bytes, n);
-                DnLocalStats::sub(&dn.local.staging_packets, 1);
                 return Ok(());
             }
             if last {

@@ -334,11 +334,6 @@ impl Fabric {
         self.inner.partitions.lock().remove(&pair_key(a, b));
     }
 
-    /// True while `a` and `b` are partitioned (diagnostics/tests).
-    pub fn is_partitioned(&self, a: &str, b: &str) -> bool {
-        self.inner.partitions.lock().contains(&pair_key(a, b))
-    }
-
     /// Tears down the whole fabric: breaks every stream and removes every
     /// listener so blocked threads exit.
     pub fn shutdown(&self) {
@@ -424,15 +419,6 @@ impl FabricStream {
     /// reader's escape hatch from a stalled-but-alive peer.
     pub fn set_read_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.read_deadline = deadline;
-    }
-
-    /// Bytes currently queued towards the peer (diagnostics/tests).
-    pub fn outbound_buffered(&self) -> usize {
-        self.out.buffered_bytes()
-    }
-
-    pub fn inbound_ready(&self) -> bool {
-        self.inn.has_pending()
     }
 
     /// Gracefully closes the outbound direction (like `shutdown(WR)`).

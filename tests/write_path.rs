@@ -1,12 +1,16 @@
 //! Integration tests for the write path: the client's piggybacked block
 //! commits, and the staged datanode write path — the bounded
 //! receive→flush staging queue and its `datanode_buffered_bytes`
-//! accounting under a disk that cannot keep up with the network.
+//! accounting under a disk that cannot keep up with the network, and
+//! after a datanode dies mid-block.
 
 use smarth::cluster::{random_data, MiniCluster};
+use smarth::core::obs::{Obs, ObsEvent, RingBufferSink};
+use smarth::core::proto::DatanodeTelemetry;
 use smarth::core::units::{Bandwidth, ByteSize};
 use smarth::core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Runs this file's tests one at a time. The staging-depth tests
 /// measure how far a datanode's flusher falls behind its receiver, a
@@ -157,5 +161,89 @@ fn piggybacked_commits_retire_as_their_add_block_returns() {
         );
         assert_eq!(client.get(path).unwrap(), data, "{mode:?}");
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn killing_a_mid_pipeline_datanode_leaves_no_buffer_charged() {
+    let _serial = serial();
+    // The head of a replication-3 pipeline loses its mirror mid-block:
+    // its forwarder's send fails and drains, the dead node's receiver
+    // errors, and the client recovers onto the survivors. Every packet
+    // charged to a forward or staging queue on those paths must be
+    // released, on each node's own levels and on the shared gauges.
+    let mut config = DfsConfig::test_scale();
+    config.replication = 3;
+    // ~1 MB/s disks keep packets staged while the kill lands.
+    config.disk_bandwidth = Bandwidth::mbps(8.0);
+    let ring = RingBufferSink::new(4096);
+    let cluster =
+        MiniCluster::start_with_obs(&small_spec(4), config, 23, Obs::new(ring.clone())).unwrap();
+    let client = cluster.client().unwrap();
+    let data = random_data(29, 600_000);
+    let path = "/wp/kill-second.bin";
+
+    let mut out = client.create(path, WriteMode::Hdfs).unwrap();
+    // Less than one 256 KiB block, so the first pipeline is mid-block.
+    out.write(&data[..200_000]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let targets = loop {
+        let opened = ring.snapshot().into_iter().find_map(|r| match r.event {
+            ObsEvent::PipelineOpened { targets, .. } => Some(targets),
+            _ => None,
+        });
+        if let Some(t) = opened {
+            break t;
+        }
+        assert!(Instant::now() < deadline, "no pipeline opened");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let host_of = |id| {
+        cluster
+            .datanode_hosts()
+            .into_iter()
+            .find(|h| cluster.datanode(h).unwrap().id() == id)
+            .unwrap()
+    };
+    let (head, second) = (host_of(targets[0]), host_of(targets[1]));
+    let idle = DatanodeTelemetry::default();
+    while cluster.datanode(&head).unwrap().local_telemetry() == idle {
+        assert!(Instant::now() < deadline, "head never buffered a packet");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.kill_datanode(&second).unwrap();
+    out.write(&data[200_000..]).unwrap();
+    let stats = out.close().unwrap();
+    assert!(stats.recoveries >= 1, "the kill must trigger a recovery");
+
+    // Stages of the broken pipeline wind down after close() returns;
+    // a leaked charge would stay non-zero past the deadline.
+    let m = cluster.obs().metrics();
+    let survivors: Vec<String> = cluster
+        .datanode_hosts()
+        .into_iter()
+        .filter(|h| *h != second)
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let levels: Vec<DatanodeTelemetry> = survivors
+            .iter()
+            .map(|h| cluster.datanode(h).unwrap().local_telemetry())
+            .collect();
+        let shared = [
+            m.datanode_buffered_bytes.get(),
+            m.datanode_forward_bytes.get(),
+            m.datanode_staging_packets.get(),
+        ];
+        if levels.iter().all(|l| *l == idle) && shared == [0, 0, 0] {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "buffers still charged: survivors {levels:?}, shared {shared:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(client.get(path).unwrap(), data);
     cluster.shutdown();
 }
